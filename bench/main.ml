@@ -1527,11 +1527,15 @@ let bench_wlan () =
    perf smoke).  Explores the seed TUTMAC network twice at a budget
    small enough that the unreduced space stays cheap (one environment
    injection and one timer fire per instance), with and without
-   partial-order reduction, plus once at the default `tutflow check`
-   budget for a throughput figure.  Gates: both bounded explorations
-   must be exhaustive and agree on the verdict (the seed is
-   deadlock-free), POR must visit strictly fewer states than the
-   unreduced run, and throughput must clear a conservative floor. *)
+   partial-order reduction, once at the default `tutflow check` budget
+   for a throughput figure, and once at the widened budget (two
+   injections per environment input, one timer fire, ~243k states) for
+   the state store's throughput and the process's peak heap
+   ([top_heap_mb], from [Gc.quick_stat]).  Gates: the bounded and the
+   widened explorations must be exhaustive, the bounded ones must agree
+   on the verdict (the seed is deadlock-free), POR must visit strictly
+   fewer states than the unreduced run, and throughput must clear a
+   conservative floor. *)
 let bench_mc () =
   section "Model checker (explicit-state exploration)";
   let states_per_sec_floor = 5_000.0 in
@@ -1558,9 +1562,22 @@ let bench_mc () =
       max_states = 500_000;
     }
   in
+  let widened_budget =
+    {
+      Mc.Explore.default_budget with
+      Mc.Explore.env_budget = 2;
+      timer_budget = 1;
+      max_states = 1_000_000;
+    }
+  in
   let reduced, reduced_s = explore small_budget true in
   let full, full_s = explore small_budget false in
   let deflt, deflt_s = explore Mc.Explore.default_budget true in
+  let widened, widened_s = explore widened_budget true in
+  let top_heap_mb =
+    float_of_int ((Gc.quick_stat ()).Gc.top_heap_words * (Sys.word_size / 8))
+    /. 1e6
+  in
   let states (r : Mc.Explore.result) = r.Mc.Explore.stats.Mc.Explore.states in
   let exhausted (r : Mc.Explore.result) =
     r.Mc.Explore.stats.Mc.Explore.exhausted
@@ -1574,6 +1591,7 @@ let bench_mc () =
   in
   let reduction = float_of_int (states full) /. float_of_int (states reduced) in
   let states_per_sec = float_of_int (states deflt) /. deflt_s in
+  let widened_states_per_sec = float_of_int (states widened) /. widened_s in
   Printf.printf "  %-28s %10d states in %.3fs\n" "por on (env 1, timer 1)"
     (states reduced) reduced_s;
   Printf.printf "  %-28s %10d states in %.3fs\n" "por off (env 1, timer 1)"
@@ -1581,6 +1599,10 @@ let bench_mc () =
   Printf.printf "  %-28s %10.1fx\n" "por reduction" reduction;
   Printf.printf "  %-28s %10d states in %.3fs (%.0f states/sec)\n"
     "default budget (por on)" (states deflt) deflt_s states_per_sec;
+  Printf.printf "  %-28s %10d states in %.3fs (%.0f states/sec)\n"
+    "widened (env 2, timer 1)" (states widened) widened_s
+    widened_states_per_sec;
+  Printf.printf "  %-28s %10.1f MB\n" "peak heap" top_heap_mb;
   let oc = open_out "BENCH_mc.json" in
   output_string oc
     (Obs.Json.to_string
@@ -1594,6 +1616,11 @@ let bench_mc () =
             ("default_states", Obs.Json.Int (states deflt));
             ("default_seconds", Obs.Json.Float deflt_s);
             ("states_per_sec", Obs.Json.Float states_per_sec);
+            ("widened_states", Obs.Json.Int (states widened));
+            ("widened_seconds", Obs.Json.Float widened_s);
+            ("widened_states_per_sec", Obs.Json.Float widened_states_per_sec);
+            ("widened_exhaustive", Obs.Json.Bool (exhausted widened));
+            ("top_heap_mb", Obs.Json.Float top_heap_mb);
             ("exhaustive", Obs.Json.Bool (exhausted reduced && exhausted full));
             ("verdict_agree", Obs.Json.Bool verdict_agree);
             ("deadlock_free", Obs.Json.Bool deadlock_free);
@@ -1601,7 +1628,7 @@ let bench_mc () =
   output_char oc '\n';
   close_out oc;
   Printf.printf "  model-checker benchmark written to BENCH_mc.json\n";
-  if not (exhausted reduced && exhausted full) then begin
+  if not (exhausted reduced && exhausted full && exhausted widened) then begin
     Printf.printf "  FAIL: bounded exploration did not exhaust\n";
     exit 1
   end;

@@ -986,14 +986,9 @@ let after_min_of prog s = prog.after_min.(s)
 let state_id t = t.state
 let set_state_id t i = t.state <- i
 
-let read_var_id t i =
-  let tag = Bytes.get t.var_t i in
-  if tag = tag_unbound then None else Some (pack_value t.var_v.(i) tag)
+let var_tag t i = Char.code (Bytes.get t.var_t i)
+let var_value t i = t.var_v.(i)
 
-let write_var_id t i value =
-  match value with
-  | None -> Bytes.set t.var_t i tag_unbound
-  | Some v ->
-    let x, tag = unpack_value v in
-    t.var_v.(i) <- x;
-    Bytes.set t.var_t i tag
+let set_var_raw t i tag value =
+  Bytes.set t.var_t i (Char.chr tag);
+  t.var_v.(i) <- value

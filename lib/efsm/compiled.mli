@@ -116,7 +116,14 @@ val after_min_of : program -> int -> int
 val state_id : t -> int
 val set_state_id : t -> int -> unit
 
-val read_var_id : t -> int -> Action.value option
-(** [None] = unbound slot. *)
+(** A variable slot is a tag and an int: tag [0] is unbound, [1] an
+    integer (the int is its value), [2] a boolean (the int is [0] or
+    [1]).  These read and write a slot by id as that pair, without
+    boxing an {!Action.value}; the value of an unbound slot is
+    meaningless. *)
 
-val write_var_id : t -> int -> Action.value option -> unit
+val var_tag : t -> int -> int
+val var_value : t -> int -> int
+
+val set_var_raw : t -> int -> int -> int -> unit
+(** [set_var_raw t i tag value]; [tag] must be [0], [1] or [2]. *)

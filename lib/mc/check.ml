@@ -171,17 +171,25 @@ let totals (net : Net.t) =
       (states + Efsm.Compiled.n_states inst.Net.prog, triggered + t))
     (0, 0) net.Net.insts
 
-let run ?(obs = Obs.Scope.null ()) ?(options = default_options) model =
-  match
-    let net = Net.build model in
-    let res = Explore.run ~config:(config_of options) net in
-    (net, res)
-  with
-  | exception Efsm.Action.Type_error m ->
+(* Elaboration and exploration fail differently: the first on a model
+   the checker cannot compose, the second on a machine action that
+   fails at a reachable state (its message locates the step). *)
+let elaborate_then_explore options model =
+  match Net.build model with
+  | exception (Efsm.Action.Type_error m | Invalid_argument m) ->
     Error ("model elaboration failed: " ^ m)
-  | exception Invalid_argument m -> Error ("model elaboration failed: " ^ m)
   | exception Not_found -> Error "model elaboration failed: unresolved name"
-  | net, res ->
+  | net -> (
+    match Explore.run ~config:(config_of options) net with
+    | exception (Efsm.Action.Type_error m | Invalid_argument m) ->
+      Error ("exploration failed: " ^ m)
+    | exception Not_found -> Error "exploration failed: unresolved name"
+    | res -> Ok (net, res))
+
+let run ?(obs = Obs.Scope.null ()) ?(options = default_options) model =
+  match elaborate_then_explore options model with
+  | Error _ as e -> e
+  | Ok (net, res) ->
     let stats = res.Explore.stats in
     (if Obs.Scope.live obs then begin
        let metrics = Obs.Scope.metrics obs in
@@ -302,15 +310,15 @@ let deadlock_oracle ?(options = default_options) model =
   let explore () =
     match
       let net = Net.build model in
-      Explore.run
-        ~config:{ (config_of options) with Explore.check_overflow = false }
-        net
+      ( net,
+        Explore.run
+          ~config:{ (config_of options) with Explore.check_overflow = false }
+          net )
     with
     | exception _ -> `Failed
-    | res -> (
+    | net, res -> (
       match res.Explore.violation with
       | Some (Explore.V_deadlock { members }, _) ->
-        let net = Net.build model in
         `Witness (List.map (fun ix -> net.Net.insts.(ix).Net.path) members)
       | Some (Explore.V_overflow _, _) | None ->
         if res.Explore.stats.Explore.exhausted then

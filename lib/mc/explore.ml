@@ -1,13 +1,29 @@
 (* Explicit-state exploration of the composed EFSM network.
 
-   Global states are flat int vectors: per instance the control-state
-   id and every variable slot (tag + value), then the bounded mailbox
-   contents (signal id + payload), then the remaining exploration
-   budgets.  The *concrete* vector is what successor computation
-   restores from; the *canonical* vector — the same layout with
-   control-irrelevant slots masked to zero ({!Coi}) — keys the visited
-   set, so states differing only in dead counters merge into one
+   A global state is, per instance, the control-state id, every
+   variable slot (tag + value) and the bounded mailbox contents (per
+   message: signal id, argument count, tag + value per argument), then
+   the remaining exploration budgets.  The *concrete* state is what
+   successor computation restores from; the *canonical key* is the same
+   sequence with control-irrelevant variable and payload slots ({!Coi})
+   left out, so states differing only in dead counters merge into one
    representative.
+
+   The state store.  Each new state is written once as a {!Varint}
+   record — its key length, its key, then (with the cone of influence
+   on) its concrete state — into append-only 1 MiB byte chunks, which
+   are never copied and which the GC never scans; a record never
+   straddles two chunks.  Per-id int arrays hold the record's location,
+   the parent, the step from it and the depth.  The visited set is an
+   open-addressing table of record locations with each key's hash
+   stored beside its location, so growing it never rehashes a key, and
+   a successor that is already known costs no allocation: encode its
+   key into a scratch buffer, hash, probe, compare bytes.
+
+   The working world is one compiled EFSM instance per machine plus one
+   flat int ring per mailbox.  A popped state is decoded into it once;
+   between its successors only the instances the previous step touched,
+   and the budget counters, are restored.
 
    Budgets make the space finite: per-environment-input injection
    budget, per-instance timer-fire budget, bounded queues, and a hard
@@ -29,10 +45,10 @@ type order = Dfs | Bfs
 
 type budget = {
   max_states : int;
-  max_depth : int;  (** 0 = unlimited *)
+  max_depth : int;
   queue_capacity : int;
-  env_budget : int;  (** injections per environment input *)
-  timer_budget : int;  (** timer fires per instance *)
+  env_budget : int;
+  timer_budget : int;
 }
 
 (* Defaults sized so the reference TUTMAC network is exhausted in well
@@ -70,22 +86,18 @@ let default_config =
   }
 
 type step =
-  | S_deliver of int  (** instance delivers its queue head *)
-  | S_timer of int  (** instance's armed timer fires *)
-  | S_inject of int  (** environment input injects its signal *)
-
-type msg = { m_gsig : int; m_args : Efsm.Action.value array }
+  | S_deliver of int
+  | S_timer of int
+  | S_inject of int
 
 type violation =
   | V_deadlock of { members : int list }
-      (** detected at the end of the returned schedule *)
   | V_overflow of { dest : int; gsig : int }
-      (** the schedule's last step enqueues past capacity at [dest] *)
 
 type stats = {
   states : int;
-  steps : int;  (** global transitions executed *)
-  dedup : int;  (** successors merged into an already-visited state *)
+  steps : int;
+  dedup : int;
   frontier_peak : int;
   exhausted : bool;
 }
@@ -93,369 +105,649 @@ type stats = {
 type result = {
   stats : stats;
   violation : (violation * step list) option;
-      (** with the schedule reaching it from the initial state *)
-  unreached_states : (string * string) list;  (** (instance path, state) *)
+  unreached_states : (string * string) list;
   unfired_transitions : (string * int) list;
-      (** (instance path, index into the machine's transition list);
-          [On_signal]/[After] transitions only — completions are
-          tracked through state coverage *)
   caveats : string list;
 }
 
-(* ---- int-array-keyed hash table -------------------------------------- *)
-(* The polymorphic hash only samples a prefix of large arrays; state
-   vectors differ deep inside, so use FNV-1a over every slot. *)
+(* ---- steps as ints ---------------------------------------------------- *)
+(* [3 * index + kind], so step buffers and the per-state [via] stay
+   unboxed: kind 0 delivers, 1 fires the timer, 2 injects. *)
 
-module Key = struct
-  type t = int array
+let step_of_code c =
+  match c mod 3 with
+  | 0 -> S_deliver (c / 3)
+  | 1 -> S_timer (c / 3)
+  | _ -> S_inject (c / 3)
 
-  let equal (a : int array) (b : int array) =
-    let n = Array.length a in
-    n = Array.length b
-    &&
-    let rec eq i = i >= n || (a.(i) = b.(i) && eq (i + 1)) in
-    eq 0
-
-  let hash (a : int array) =
-    let h = ref 0x811c9dc5 in
-    for i = 0 to Array.length a - 1 do
-      h := (!h lxor a.(i)) * 0x100000001b3
-    done;
-    !h land max_int
-end
-
-module Tbl = Hashtbl.Make (Key)
-
-(* ---- mutable working state ------------------------------------------- *)
+(* ---- the working world ------------------------------------------------ *)
 
 type world = {
   execs : Efsm.Compiled.t array;
-  queues : msg list array;  (** head = next to deliver *)
+  n_vars : int array;
+  rings : int array array;
+      (** per instance, [slot]-int message slots in ring order *)
+  q_head : int array;  (** slot index of the next message to deliver *)
+  q_len : int array;
+  slot : int;  (** gsig, argc, then a tag and a value per argument *)
   timer_left : int array;
   env_left : int array;
+  (* instances the current step has modified, for the sibling restore *)
+  touched : int array;
+  marked : bool array;
+  mutable n_touched : int;
 }
 
-(* ---- vector encoding -------------------------------------------------- *)
-
-type enc = { mutable a : int array; mutable n : int }
-
-let enc_create () = { a = Array.make 64 0; n = 0 }
-
-let enc_reset e = e.n <- 0
-
-let push e x =
-  if e.n = Array.length e.a then begin
-    let bigger = Array.make (2 * e.n) 0 in
-    Array.blit e.a 0 bigger 0 e.n;
-    e.a <- bigger
-  end;
-  e.a.(e.n) <- x;
-  e.n <- e.n + 1
-
-let enc_freeze e = Array.sub e.a 0 e.n
-
-let value_code = function
-  | None -> (0, 0)
-  | Some (Efsm.Action.V_int n) -> (1, n)
-  | Some (Efsm.Action.V_bool b) -> (2, if b then 1 else 0)
-
-let value_of_code tag v =
-  match tag with
-  | 0 -> None
-  | 1 -> Some (Efsm.Action.V_int v)
-  | _ -> Some (Efsm.Action.V_bool (v <> 0))
-
-(* [mask = None]: concrete vector.  [mask = Some coi]: canonical key —
-   irrelevant variable and payload slots read as (0, 0). *)
-let encode (net : Net.t) (coi : Coi.t option) w e =
-  enc_reset e;
-  Array.iter
-    (fun (inst : Net.inst) ->
-      let ix = inst.Net.ix in
-      let ex = w.execs.(ix) in
-      push e (Efsm.Compiled.state_id ex);
-      let nv = Efsm.Compiled.n_vars inst.Net.prog in
-      for v = 0 to nv - 1 do
-        let relevant =
-          match coi with
-          | None -> true
-          | Some c -> c.Coi.var_relevant.(ix).(v)
-        in
-        if relevant then begin
-          let tag, value = value_code (Efsm.Compiled.read_var_id ex v) in
-          push e tag;
-          push e value
-        end
-        else begin
-          push e 0;
-          push e 0
-        end
-      done;
-      push e (List.length w.queues.(ix));
-      List.iter
-        (fun m ->
-          push e m.m_gsig;
-          push e (Array.length m.m_args);
-          Array.iteri
-            (fun k v ->
-              let relevant =
-                match coi with
-                | None -> true
-                | Some c ->
-                  let mask = c.Coi.arg_relevant.(ix).(m.m_gsig) in
-                  k < Array.length mask && mask.(k)
-              in
-              if relevant then begin
-                let tag, value = value_code (Some v) in
-                push e tag;
-                push e value
-              end
-              else begin
-                push e 0;
-                push e 0
-              end)
-            m.m_args)
-        w.queues.(ix))
-    net.Net.insts;
-  Array.iter (fun left -> push e left) w.timer_left;
-  Array.iter (fun left -> push e left) w.env_left;
-  enc_freeze e
-
-(* Restore a concrete vector into [w]; inverse of [encode] with no mask. *)
-let decode (net : Net.t) (vec : int array) w =
-  let pos = ref 0 in
-  let next () =
-    let x = vec.(!pos) in
-    incr pos;
-    x
-  in
-  Array.iter
-    (fun (inst : Net.inst) ->
-      let ix = inst.Net.ix in
-      let ex = w.execs.(ix) in
-      Efsm.Compiled.set_state_id ex (next ());
-      let nv = Efsm.Compiled.n_vars inst.Net.prog in
-      for v = 0 to nv - 1 do
-        let tag = next () in
-        let value = next () in
-        Efsm.Compiled.write_var_id ex v (value_of_code tag value)
-      done;
-      let qlen = next () in
-      let q = ref [] in
-      for _ = 1 to qlen do
-        let gsig = next () in
-        let argc = next () in
-        let args =
-          Array.init argc (fun _ ->
-              let tag = next () in
-              let value = next () in
-              match value_of_code tag value with
-              | Some v -> v
-              | None -> Efsm.Action.V_int 0)
-        in
-        q := { m_gsig = gsig; m_args = args } :: !q
-      done;
-      w.queues.(ix) <- List.rev !q)
-    net.Net.insts;
-  for i = 0 to Array.length w.timer_left - 1 do
-    w.timer_left.(i) <- next ()
-  done;
-  for i = 0 to Array.length w.env_left - 1 do
-    w.env_left.(i) <- next ()
-  done
-
-(* ---- step application ------------------------------------------------- *)
-
-exception Overflow of int * int  (** dest instance, gsig *)
-
-(* Route one effect list; enqueues copies per receiving instance. *)
-let route_effects w ~capacity (inst : Net.inst) effects =
-  List.iter
-    (fun effect ->
-      match effect with
-      | Efsm.Action.Eff_compute _ -> ()
-      | Efsm.Action.Eff_send { port; signal; args } -> (
-        match Net.find_route inst ~port ~signal with
-        | None -> ()
-        | Some r ->
-          let args = Array.of_list args in
-          Array.iter
-            (fun dest ->
-              if List.length w.queues.(dest) >= capacity then
-                raise (Overflow (dest, r.Net.rt_gsig));
-              w.queues.(dest) <-
-                w.queues.(dest) @ [ { m_gsig = r.Net.rt_gsig; m_args = args } ])
-            r.Net.rt_dests))
-    effects
-
-(* Execute [step]; returns the machine transition that fired, if any.
-   Raises [Overflow] when an emission exceeds a queue's capacity. *)
-let apply_step (net : Net.t) w ~capacity step =
-  match step with
-  | S_inject e ->
-    let input = net.Net.env_inputs.(e) in
-    let dest = input.Net.ei_target in
-    if List.length w.queues.(dest) >= capacity then
-      raise (Overflow (dest, input.Net.ei_gsig));
-    w.queues.(dest) <-
-      w.queues.(dest)
-      @ [
-          {
-            m_gsig = input.Net.ei_gsig;
-            m_args = Net.canonical_args net input.Net.ei_gsig;
-          };
-        ];
-    w.env_left.(e) <- w.env_left.(e) - 1;
-    None
-  | S_deliver ix -> (
-    let inst = net.Net.insts.(ix) in
-    match w.queues.(ix) with
-    | [] -> invalid_arg "apply_step: empty queue"
-    | m :: rest ->
-      w.queues.(ix) <- rest;
-      let step =
-        Efsm.Compiled.dispatch w.execs.(ix)
-          ~signal:(Net.sig_name net m.m_gsig)
-          ~args:(Net.bind_args net m.m_gsig m.m_args)
-      in
-      route_effects w ~capacity inst step.Efsm.Interp.effects;
-      step.Efsm.Interp.fired)
-  | S_timer ix ->
-    let inst = net.Net.insts.(ix) in
-    let entered = Efsm.Compiled.state w.execs.(ix) in
-    let step = Efsm.Compiled.fire_timer w.execs.(ix) ~entered_state:entered in
-    w.timer_left.(ix) <- w.timer_left.(ix) - 1;
-    route_effects w ~capacity inst step.Efsm.Interp.effects;
-    step.Efsm.Interp.fired
-
-(* ---- enabled steps and the persistent set ----------------------------- *)
-
-let enabled_steps (net : Net.t) w cfg =
-  let cap = cfg.budget.queue_capacity in
-  let acc = ref [] in
-  for e = Array.length net.Net.env_inputs - 1 downto 0 do
-    if w.env_left.(e) > 0 then acc := S_inject e :: !acc
-  done;
-  for ix = Array.length net.Net.insts - 1 downto 0 do
-    let ex = w.execs.(ix) in
-    if
-      w.timer_left.(ix) > 0
-      && Efsm.Compiled.after_min_of net.Net.insts.(ix).Net.prog
-           (Efsm.Compiled.state_id ex)
-         >= 0
-    then acc := S_timer ix :: !acc;
-    if w.queues.(ix) <> [] then acc := S_deliver ix :: !acc
-  done;
-  ignore cap;
-  !acc
-
-(* The lowest-indexed instance whose every enabled step is silent and
-   whose queue is below capacity; its steps form a persistent set. *)
-let ample (net : Net.t) w cfg =
-  let cap = cfg.budget.queue_capacity in
-  let n = Array.length net.Net.insts in
-  let rec find ix =
-    if ix >= n then None
-    else begin
-      let inst = net.Net.insts.(ix) in
-      let ex = w.execs.(ix) in
-      let s = Efsm.Compiled.state_id ex in
-      let qlen = List.length w.queues.(ix) in
-      let timer_enabled =
-        w.timer_left.(ix) > 0
-        && Efsm.Compiled.after_min_of inst.Net.prog s >= 0
-      in
-      let deliver_enabled = qlen > 0 in
-      if (not deliver_enabled) && not timer_enabled then find (ix + 1)
-      else if qlen >= cap then find (ix + 1)
-      else begin
-        let deliver_ok =
-          (not deliver_enabled)
-          ||
-          match w.queues.(ix) with
-          | m :: _ -> inst.Net.silent_on.(s).(m.m_gsig)
-          | [] -> true
-        in
-        let timer_ok = (not timer_enabled) || inst.Net.silent_after.(s) in
-        if deliver_ok && timer_ok then begin
-          let steps = ref [] in
-          if timer_enabled then steps := [ S_timer ix ];
-          if deliver_enabled then steps := S_deliver ix :: !steps;
-          Some !steps
-        end
-        else find (ix + 1)
-      end
-    end
-  in
-  find 0
-
-(* ---- the search ------------------------------------------------------- *)
-
-type store = {
-  mutable vecs : int array array;
-  mutable parents : int array;
-  mutable vias : step array;
-  mutable depths : int array;
-  mutable count : int;
-}
-
-let store_create () =
-  {
-    vecs = Array.make 1024 [||];
-    parents = Array.make 1024 (-1);
-    vias = Array.make 1024 (S_deliver (-1));
-    depths = Array.make 1024 0;
-    count = 0;
-  }
-
-let store_add st vec parent via depth =
-  if st.count = Array.length st.vecs then begin
-    let n = 2 * st.count in
-    let grow a init =
-      let b = Array.make n init in
-      Array.blit a 0 b 0 st.count;
-      b
-    in
-    st.vecs <- grow st.vecs [||];
-    st.parents <- grow st.parents (-1);
-    st.vias <- grow st.vias (S_deliver (-1));
-    st.depths <- grow st.depths 0
-  end;
-  let id = st.count in
-  st.vecs.(id) <- vec;
-  st.parents.(id) <- parent;
-  st.vias.(id) <- via;
-  st.depths.(id) <- depth;
-  st.count <- id + 1;
-  id
-
-let schedule_to st id extra =
-  let rec build id acc =
-    if id <= 0 then acc else build st.parents.(id) (st.vias.(id) :: acc)
-  in
-  build id [] @ extra
+(* Widest argument list any message can carry: a declared signal's
+   parameters (environment injections) or a send site's arguments. *)
+let max_args (net : Net.t) =
+  Array.fold_left
+    (fun acc (i : Net.inst) ->
+      List.fold_left
+        (fun acc (_, _, args) -> max acc (List.length args))
+        acc
+        (Net.machine_send_sites i.Net.machine))
+    (Array.fold_left
+       (fun acc (s : Net.sig_info) -> max acc (Array.length s.Net.sg_params))
+       0 net.Net.sigs)
+    net.Net.insts
 
 let fresh_world (net : Net.t) budget =
+  let n = Net.n_insts net in
+  let slot = 2 + (2 * max_args net) in
+  let slots = max 1 (min budget.queue_capacity 8) in
   {
     execs =
       Array.map
         (fun (i : Net.inst) -> Efsm.Compiled.create i.Net.prog)
         net.Net.insts;
-    queues = Array.make (Net.n_insts net) [];
-    timer_left = Array.make (Net.n_insts net) budget.timer_budget;
+    n_vars =
+      Array.map
+        (fun (i : Net.inst) -> Efsm.Compiled.n_vars i.Net.prog)
+        net.Net.insts;
+    rings = Array.init n (fun _ -> Array.make (slots * slot) 0);
+    q_head = Array.make n 0;
+    q_len = Array.make n 0;
+    slot;
+    timer_left = Array.make n budget.timer_budget;
     env_left = Array.make (Array.length net.Net.env_inputs) budget.env_budget;
+    touched = Array.make n 0;
+    marked = Array.make n false;
+    n_touched = 0;
   }
+
+let touch w ix =
+  if not w.marked.(ix) then begin
+    w.marked.(ix) <- true;
+    w.touched.(w.n_touched) <- ix;
+    w.n_touched <- w.n_touched + 1
+  end
+
+let untouch_all w =
+  for t = 0 to w.n_touched - 1 do
+    w.marked.(w.touched.(t)) <- false
+  done;
+  w.n_touched <- 0
+
+(* Re-lay instance [ix]'s ring with at least [n] slots, messages first. *)
+let ensure_slots w ix n =
+  let ring = w.rings.(ix) in
+  let slots = Array.length ring / w.slot in
+  if n > slots then begin
+    let bigger = Array.make (max n (2 * slots) * w.slot) 0 in
+    for k = 0 to w.q_len.(ix) - 1 do
+      Array.blit ring ((w.q_head.(ix) + k) mod slots * w.slot) bigger
+        (k * w.slot) w.slot
+    done;
+    w.rings.(ix) <- bigger;
+    w.q_head.(ix) <- 0
+  end
+
+(* Offset of the [k]th queued message of instance [ix]. *)
+let slot_at w ix k =
+  let slots = Array.length w.rings.(ix) / w.slot in
+  (w.q_head.(ix) + k) mod slots * w.slot
+
+exception Overflow of int * int  (** dest instance, gsig *)
+
+(* Append a message header to [dest]'s ring; returns the slot offset,
+   whose argument pairs the caller fills in. *)
+let push_slot w ~capacity dest gsig argc =
+  let len = w.q_len.(dest) in
+  if len >= capacity then raise (Overflow (dest, gsig));
+  ensure_slots w dest (len + 1);
+  let at = slot_at w dest len in
+  let ring = w.rings.(dest) in
+  ring.(at) <- gsig;
+  ring.(at + 1) <- argc;
+  w.q_len.(dest) <- len + 1;
+  at
+
+let rec put_args ring at = function
+  | [] -> ()
+  | Efsm.Action.V_int n :: rest ->
+    ring.(at) <- 1;
+    ring.(at + 1) <- n;
+    put_args ring (at + 2) rest
+  | Efsm.Action.V_bool b :: rest ->
+    ring.(at) <- 2;
+    ring.(at + 1) <- (if b then 1 else 0);
+    put_args ring (at + 2) rest
+
+(* Route one effect list; enqueues a copy per receiving instance. *)
+let rec route w ~capacity (inst : Net.inst) = function
+  | [] -> ()
+  | Efsm.Action.Eff_compute _ :: rest -> route w ~capacity inst rest
+  | Efsm.Action.Eff_send { port; signal; args } :: rest ->
+    let ri = Net.route_index inst ~port ~signal in
+    if ri >= 0 then begin
+      let r = inst.Net.routes.(ri) in
+      let argc = List.length args in
+      for d = 0 to Array.length r.Net.rt_dests - 1 do
+        let dest = r.Net.rt_dests.(d) in
+        touch w dest;
+        let at = push_slot w ~capacity dest r.Net.rt_gsig argc in
+        put_args w.rings.(dest) (at + 2) args
+      done
+    end;
+    route w ~capacity inst rest
+
+let rec bind_from params ring at k acc =
+  if k < 0 then acc
+  else
+    let tag = ring.(at + 2 + (2 * k)) and v = ring.(at + 3 + (2 * k)) in
+    let value =
+      if tag = 1 then Efsm.Action.V_int v else Efsm.Action.V_bool (v <> 0)
+    in
+    bind_from params ring at (k - 1) ((fst params.(k), value) :: acc)
+
+(* The named bindings of the message at [at], as {!Net.bind_args}. *)
+let bind_slot (net : Net.t) ring at =
+  let params = net.Net.sigs.(ring.(at)).Net.sg_params in
+  bind_from params ring at (min (Array.length params) ring.(at + 1) - 1) []
+
+(* ---- record encoding -------------------------------------------------- *)
+
+let fnv_prime = 0x100000001b3
+let fnv_basis = 0x811c9dc5
+let[@inline] mix h x = (h lxor x) * fnv_prime
+
+(* Append [x] to [out] and fold it into hash [h]. *)
+let[@inline] emit out h x =
+  Varint.add out x;
+  mix h x
+
+(* Instance [ix]'s segment of the canonical key into [out]; returns its
+   hash.  [None]: every slot, the concrete layout [decode_inst] reads.
+   [Some coi]: irrelevant slots are skipped, not zeroed — which slots a
+   key holds is fixed by the instance and by the signal ids already in
+   it, so skipping keeps the key injective on what it keeps. *)
+let encode_inst_key (coi : Coi.t option) w ix out =
+  let ex = w.execs.(ix) in
+  let h = ref (emit out fnv_basis (Efsm.Compiled.state_id ex)) in
+  for v = 0 to w.n_vars.(ix) - 1 do
+    if match coi with None -> true | Some c -> c.Coi.var_relevant.(ix).(v)
+    then begin
+      let tag = Efsm.Compiled.var_tag ex v in
+      h := emit out !h tag;
+      h := emit out !h (if tag = 0 then 0 else Efsm.Compiled.var_value ex v)
+    end
+  done;
+  let ring = w.rings.(ix) in
+  h := emit out !h w.q_len.(ix);
+  for k = 0 to w.q_len.(ix) - 1 do
+    let at = slot_at w ix k in
+    let gsig = ring.(at) and argc = ring.(at + 1) in
+    h := emit out !h gsig;
+    h := emit out !h argc;
+    for a = 0 to argc - 1 do
+      if
+        match coi with
+        | None -> true
+        | Some c ->
+          let mask = c.Coi.arg_relevant.(ix).(gsig) in
+          a < Array.length mask && mask.(a)
+      then begin
+        h := emit out !h ring.(at + 2 + (2 * a));
+        h := emit out !h ring.(at + 3 + (2 * a))
+      end
+    done
+  done;
+  !h
+
+(* The budget counters close both the key and the concrete record. *)
+let encode_budgets w out h =
+  let h = ref h in
+  for i = 0 to Array.length w.timer_left - 1 do
+    h := emit out !h w.timer_left.(i)
+  done;
+  for e = 0 to Array.length w.env_left - 1 do
+    h := emit out !h w.env_left.(e)
+  done;
+  !h
+
+let decode_inst w ix r =
+  let ex = w.execs.(ix) in
+  Efsm.Compiled.set_state_id ex (Varint.read r);
+  for v = 0 to w.n_vars.(ix) - 1 do
+    let tag = Varint.read r in
+    Efsm.Compiled.set_var_raw ex v tag (Varint.read r)
+  done;
+  let len = Varint.read r in
+  w.q_len.(ix) <- 0;
+  ensure_slots w ix len;
+  w.q_head.(ix) <- 0;
+  w.q_len.(ix) <- len;
+  let ring = w.rings.(ix) in
+  for k = 0 to len - 1 do
+    let at = k * w.slot in
+    ring.(at) <- Varint.read r;
+    let argc = Varint.read r in
+    ring.(at + 1) <- argc;
+    for j = at + 2 to at + 1 + (2 * argc) do
+      ring.(j) <- Varint.read r
+    done
+  done
+
+(* ---- the state store and visited set ---------------------------------- *)
+
+let chunk_bits = 20
+let chunk_size = 1 lsl chunk_bits
+
+type store = {
+  mutable chunks : Bytes.t array;
+  mutable n_chunks : int;
+  mutable fill : int;  (** bytes used in the last chunk *)
+  (* per state id *)
+  mutable loc : int array;
+      (** its record: chunk index lsl [chunk_bits] lor offset *)
+  mutable parent : int array;
+  mutable via : int array;  (** step code from the parent *)
+  mutable depth : int array;
+  mutable count : int;
+  (* visited set: pairs of a record location ([-1] = free) and its key
+     hash, so a probe reads one cache line before it reads the record *)
+  mutable table : int array;
+  rd : Varint.reader;
+}
+
+let store_create () =
+  {
+    chunks = [||];
+    n_chunks = 0;
+    fill = 0;
+    loc = Array.make 1024 0;
+    parent = Array.make 1024 0;
+    via = Array.make 1024 0;
+    depth = Array.make 1024 0;
+    count = 0;
+    table = Array.make (2 * 4096) (-1);
+    rd = Varint.reader ();
+  }
+
+let chunk_of st loc = st.chunks.(loc lsr chunk_bits)
+let offset_of loc = loc land (chunk_size - 1)
+
+(* Bytes [0, n) of [a] against bytes [off, off + n) of [b], a word at a
+   time. *)
+let rec same_bytes a b off i n =
+  if i + 8 <= n then
+    (Bytes.get_int64_ne a i : int64) = Bytes.get_int64_ne b (off + i)
+    && same_bytes a b off (i + 8) n
+  else
+    i >= n
+    || (Bytes.get a i = Bytes.get b (off + i) && same_bytes a b off (i + 1) n)
+
+(* A record is its key length, its key, then (with the cone of
+   influence on) its concrete state. *)
+let same_key st loc key klen =
+  let chunk = chunk_of st loc in
+  Varint.seek st.rd chunk (offset_of loc);
+  Varint.read st.rd = klen && same_bytes key chunk (Varint.pos st.rd) 0 klen
+
+(* Whether the key in [key] (its first [klen] bytes, hash [h]) is
+   stored, as [1]; otherwise [-(slot + 1)] for the free slot where it
+   belongs. *)
+let rec probe st key klen h i =
+  let loc = st.table.(2 * i) in
+  if loc < 0 then -(i + 1)
+  else if st.table.((2 * i) + 1) = h && same_key st loc key klen then 1
+  else probe st key klen h ((i + 1) land ((Array.length st.table / 2) - 1))
+
+let find st key klen h =
+  probe st key klen h (h land ((Array.length st.table / 2) - 1))
+
+let rec free_slot table i =
+  if table.(2 * i) < 0 then i
+  else free_slot table ((i + 1) land ((Array.length table / 2) - 1))
+
+(* Double the table at half load, re-placing entries by their stored
+   hash. *)
+let grow_table st =
+  let old = st.table in
+  let table = Array.make (2 * Array.length old) (-1) in
+  let slots = Array.length table / 2 in
+  for i = 0 to (Array.length old / 2) - 1 do
+    if old.(2 * i) >= 0 then begin
+      let h = old.((2 * i) + 1) in
+      let j = free_slot table (h land (slots - 1)) in
+      table.(2 * j) <- old.(2 * i);
+      table.((2 * j) + 1) <- h
+    end
+  done;
+  st.table <- table
+
+let grow_ids st =
+  let grow a =
+    let b = Array.make (2 * Array.length a) 0 in
+    Array.blit a 0 b 0 st.count;
+    b
+  in
+  st.loc <- grow st.loc;
+  st.parent <- grow st.parent;
+  st.via <- grow st.via;
+  st.depth <- grow st.depth
+
+(* Room for a [len]-byte record in the last chunk, opening a new one
+   (at least [len] long) when it does not fit. *)
+let reserve st len =
+  if st.n_chunks = 0 || st.fill + len > Bytes.length st.chunks.(st.n_chunks - 1)
+  then begin
+    if st.n_chunks = Array.length st.chunks then begin
+      let bigger = Array.make (max 16 (2 * st.n_chunks)) Bytes.empty in
+      Array.blit st.chunks 0 bigger 0 st.n_chunks;
+      st.chunks <- bigger
+    end;
+    st.chunks.(st.n_chunks) <- Bytes.create (max chunk_size len);
+    st.n_chunks <- st.n_chunks + 1;
+    st.fill <- 0
+  end
+
+(* Store a new state at free table slot [slot].  [head] is scratch for
+   the record's length prefix; [concrete] is given when the key omits
+   slots. *)
+let store_add st ~slot ~head ~key ~h ~concrete parent via depth =
+  let klen = Varint.length key in
+  Varint.clear head;
+  Varint.add head klen;
+  let hlen = Varint.length head in
+  let clen = match concrete with Some c -> Varint.length c | None -> 0 in
+  reserve st (hlen + klen + clen);
+  let chunk = st.chunks.(st.n_chunks - 1) and at = st.fill in
+  Bytes.blit (Varint.bytes head) 0 chunk at hlen;
+  Bytes.blit (Varint.bytes key) 0 chunk (at + hlen) klen;
+  (match concrete with
+  | Some c -> Bytes.blit (Varint.bytes c) 0 chunk (at + hlen + klen) clen
+  | None -> ());
+  if st.count = Array.length st.loc then grow_ids st;
+  let id = st.count in
+  let loc = ((st.n_chunks - 1) lsl chunk_bits) lor at in
+  st.loc.(id) <- loc;
+  st.parent.(id) <- parent;
+  st.via.(id) <- via;
+  st.depth.(id) <- depth;
+  st.count <- id + 1;
+  st.fill <- at + hlen + klen + clen;
+  st.table.(2 * slot) <- loc;
+  st.table.((2 * slot) + 1) <- h;
+  if 4 * st.count > Array.length st.table then grow_table st;
+  id
+
+let schedule_to st id extra =
+  let rec build id acc =
+    if id <= 0 then acc
+    else build st.parent.(id) (step_of_code st.via.(id) :: acc)
+  in
+  build id [] @ extra
+
+(* ---- loading a state and restoring between siblings ------------------- *)
+
+(* The loaded state: where its concrete segments sit in the store, its
+   key re-encoded per instance, and its budget counters. *)
+type cursor = {
+  r : Varint.reader;
+  mutable src : Bytes.t;
+  inst_off : int array;
+      (** per instance its concrete segment's offset in [src], then the
+          budgets' *)
+  key : Varint.writer;  (** the key's instance segments, budgets left out *)
+  key_off : int array;  (** per instance its segment's offset, then the end *)
+  seg_hash : int array;
+  saved_timer : int array;
+  saved_env : int array;
+}
+
+let cursor (net : Net.t) =
+  let n = Net.n_insts net in
+  {
+    r = Varint.reader ();
+    src = Bytes.empty;
+    inst_off = Array.make (n + 1) 0;
+    key = Varint.writer ();
+    key_off = Array.make (n + 1) 0;
+    seg_hash = Array.make n 0;
+    saved_timer = Array.make n 0;
+    saved_env = Array.make (Array.length net.Net.env_inputs) 0;
+  }
+
+(* Decode state [id]'s concrete record into [w], remembering where each
+   instance starts for {!restore}, and re-encode its key segments for
+   {!successor_key}. *)
+let load coi st c w id =
+  let loc = st.loc.(id) in
+  let n = Array.length w.execs in
+  c.src <- chunk_of st loc;
+  Varint.seek c.r c.src (offset_of loc);
+  let klen = Varint.read c.r in
+  if Option.is_some coi then Varint.seek c.r c.src (Varint.pos c.r + klen);
+  Varint.clear c.key;
+  for ix = 0 to n - 1 do
+    c.inst_off.(ix) <- Varint.pos c.r;
+    decode_inst w ix c.r;
+    c.key_off.(ix) <- Varint.length c.key;
+    c.seg_hash.(ix) <- encode_inst_key coi w ix c.key
+  done;
+  c.inst_off.(n) <- Varint.pos c.r;
+  c.key_off.(n) <- Varint.length c.key;
+  for i = 0 to Array.length w.timer_left - 1 do
+    w.timer_left.(i) <- Varint.read c.r
+  done;
+  for e = 0 to Array.length w.env_left - 1 do
+    w.env_left.(e) <- Varint.read c.r
+  done;
+  Array.blit w.timer_left 0 c.saved_timer 0 (Array.length w.timer_left);
+  Array.blit w.env_left 0 c.saved_env 0 (Array.length w.env_left);
+  untouch_all w
+
+(* Undo the last step: re-decode the instances it touched and reset the
+   budget counters to the loaded state's. *)
+let restore c w =
+  for t = 0 to w.n_touched - 1 do
+    let ix = w.touched.(t) in
+    Varint.seek c.r c.src c.inst_off.(ix);
+    decode_inst w ix c.r
+  done;
+  untouch_all w;
+  Array.blit c.saved_timer 0 w.timer_left 0 (Array.length w.timer_left);
+  Array.blit c.saved_env 0 w.env_left 0 (Array.length w.env_left)
+
+(* Append the bytes of segments [from, upto) of [src], whose offsets
+   are in [offs]. *)
+let copy_segments out src offs from upto =
+  Varint.append out src offs.(from) (offs.(upto) - offs.(from))
+
+(* The world's key into [out], returning its hash: the loaded state's
+   segment for every instance the step left alone, a fresh one for each
+   instance it touched. *)
+let successor_key coi c w out =
+  Varint.clear out;
+  let n = Array.length w.execs in
+  let keep = Varint.bytes c.key in
+  let h = ref fnv_basis and from = ref 0 in
+  for ix = 0 to n - 1 do
+    if w.marked.(ix) then begin
+      copy_segments out keep c.key_off !from ix;
+      h := mix !h (encode_inst_key coi w ix out);
+      from := ix + 1
+    end
+    else h := mix !h c.seg_hash.(ix)
+  done;
+  copy_segments out keep c.key_off !from n;
+  let h = encode_budgets w out !h in
+  (* Multiplication only carries upwards; fold the high bits into the
+     low ones the table indexes by. *)
+  let h = (h lxor (h lsr 31)) * 0x7fb5d329728ea185 in
+  (h lxor (h lsr 29)) land max_int
+
+(* The world's concrete record into [out], the same way. *)
+let successor_concrete c w out =
+  Varint.clear out;
+  let n = Array.length w.execs in
+  let from = ref 0 in
+  for ix = 0 to n - 1 do
+    if w.marked.(ix) then begin
+      copy_segments out c.src c.inst_off !from ix;
+      ignore (encode_inst_key None w ix out);
+      from := ix + 1
+    end
+  done;
+  copy_segments out c.src c.inst_off !from n;
+  ignore (encode_budgets w out 0)
+
+(* ---- step application ------------------------------------------------- *)
+
+(* A machine action failed: instance, what it was doing, message. *)
+exception Step_failed of int * string * string
+
+let timer_enabled (net : Net.t) w ix =
+  w.timer_left.(ix) > 0
+  && Efsm.Compiled.after_min_of net.Net.insts.(ix).Net.prog
+       (Efsm.Compiled.state_id w.execs.(ix))
+     >= 0
+
+(* Execute the step with code [code]; returns the machine transition
+   that fired, if any.  Raises [Overflow] when an emission exceeds a
+   queue's capacity. *)
+let apply_step (net : Net.t) w ~capacity code =
+  let ix = code / 3 in
+  match code mod 3 with
+  | 0 ->
+    let inst = net.Net.insts.(ix) in
+    touch w ix;
+    let ring = w.rings.(ix) in
+    let at = w.q_head.(ix) * w.slot in
+    let gsig = ring.(at) in
+    let args = bind_slot net ring at in
+    w.q_head.(ix) <- (w.q_head.(ix) + 1) mod (Array.length ring / w.slot);
+    w.q_len.(ix) <- w.q_len.(ix) - 1;
+    let signal = Net.sig_name net gsig in
+    let step =
+      try Efsm.Compiled.dispatch w.execs.(ix) ~signal ~args
+      with Efsm.Action.Type_error m ->
+        raise (Step_failed (ix, "delivering " ^ signal, m))
+    in
+    route w ~capacity inst step.Efsm.Interp.effects;
+    step.Efsm.Interp.fired
+  | 1 ->
+    let inst = net.Net.insts.(ix) in
+    let ex = w.execs.(ix) in
+    touch w ix;
+    let step =
+      try Efsm.Compiled.fire_timer ex ~entered_state:(Efsm.Compiled.state ex)
+      with Efsm.Action.Type_error m ->
+        raise (Step_failed (ix, "firing its timer", m))
+    in
+    w.timer_left.(ix) <- w.timer_left.(ix) - 1;
+    route w ~capacity inst step.Efsm.Interp.effects;
+    step.Efsm.Interp.fired
+  | _ ->
+    let input = net.Net.env_inputs.(ix) in
+    let dest = input.Net.ei_target and gsig = input.Net.ei_gsig in
+    let params = net.Net.sigs.(gsig).Net.sg_params in
+    touch w dest;
+    let at = push_slot w ~capacity dest gsig (Array.length params) in
+    let ring = w.rings.(dest) in
+    Array.iteri
+      (fun a (_, ty) ->
+        ring.(at + 2 + (2 * a)) <-
+          (match ty with Uml.Signal.P_int -> 1 | Uml.Signal.P_bool -> 2);
+        ring.(at + 3 + (2 * a)) <- 0)
+      params;
+    w.env_left.(ix) <- w.env_left.(ix) - 1;
+    None
 
 (* Initial global state: every instance runs its initial entry actions
    and completions (instance order), emissions routed. *)
 let init_world (net : Net.t) w ~capacity =
-  Array.iter
-    (fun (inst : Net.inst) ->
-      let ix = inst.Net.ix in
+  Array.iteri
+    (fun ix (inst : Net.inst) ->
       let ex = w.execs.(ix) in
-      route_effects w ~capacity inst (Efsm.Compiled.initial_entry ex);
-      route_effects w ~capacity inst (Efsm.Compiled.run_completions ex))
+      match
+        route w ~capacity inst (Efsm.Compiled.initial_entry ex);
+        route w ~capacity inst (Efsm.Compiled.run_completions ex)
+      with
+      | () -> ()
+      | exception Efsm.Action.Type_error m ->
+        raise (Step_failed (ix, "initial entry", m)))
     net.Net.insts
+
+(* ---- enabled steps and the persistent set ----------------------------- *)
+(* Both write step codes into [buf] and return how many: per instance in
+   index order its delivery, then its timer; environment injections
+   last. *)
+
+let enabled_steps (net : Net.t) w buf =
+  let k = ref 0 in
+  for ix = 0 to Array.length net.Net.insts - 1 do
+    if w.q_len.(ix) > 0 then begin
+      buf.(!k) <- 3 * ix;
+      incr k
+    end;
+    if timer_enabled net w ix then begin
+      buf.(!k) <- (3 * ix) + 1;
+      incr k
+    end
+  done;
+  for e = 0 to Array.length net.Net.env_inputs - 1 do
+    if w.env_left.(e) > 0 then begin
+      buf.(!k) <- (3 * e) + 2;
+      incr k
+    end
+  done;
+  !k
+
+(* The lowest-indexed instance from [ix] on whose every enabled step is
+   silent and whose queue is below capacity; its steps form a
+   persistent set.  0 when there is none. *)
+let rec ample (net : Net.t) w ~capacity buf ix =
+  if ix >= Array.length net.Net.insts then 0
+  else begin
+    let inst = net.Net.insts.(ix) in
+    let s = Efsm.Compiled.state_id w.execs.(ix) in
+    let qlen = w.q_len.(ix) in
+    let timer = timer_enabled net w ix in
+    if (qlen = 0 && not timer) || qlen >= capacity then
+      ample net w ~capacity buf (ix + 1)
+    else if
+      (qlen = 0
+      || inst.Net.silent_on.(s).(w.rings.(ix).(w.q_head.(ix) * w.slot)))
+      && ((not timer) || inst.Net.silent_after.(s))
+    then begin
+      let k = ref 0 in
+      if qlen > 0 then begin
+        buf.(0) <- 3 * ix;
+        k := 1
+      end;
+      if timer then begin
+        buf.(!k) <- (3 * ix) + 1;
+        incr k
+      end;
+      !k
+    end
+    else ample net w ~capacity buf (ix + 1)
+  end
+
+(* ---- the search ------------------------------------------------------- *)
 
 let caveat_strings (net : Net.t) =
   Array.to_list net.Net.env_inputs
@@ -473,10 +765,14 @@ let run ?(config = default_config) (net : Net.t) =
   let capacity = cfg.budget.queue_capacity in
   let coi = if cfg.coi then Some (Coi.analyse net) else None in
   let net = match coi with Some c -> Coi.apply_caveats net c | None -> net in
-  let store = store_create () in
-  let visited = Tbl.create 4096 in
-  let enc = enc_create () in
+  let n = Net.n_insts net in
+  let st = store_create () in
   let w = fresh_world net cfg.budget in
+  let key = Varint.writer () and head = Varint.writer () in
+  (* with the cone of influence off the key is the concrete state *)
+  let concrete = if cfg.coi then Some (Varint.writer ()) else None in
+  let cursor = cursor net in
+  let steps_buf = Array.make ((2 * n) + Array.length net.Net.env_inputs) 0 in
   (* coverage marks *)
   let state_seen =
     Array.map
@@ -490,140 +786,140 @@ let run ?(config = default_config) (net : Net.t) =
       net.Net.insts
   in
   let mark_states () =
-    Array.iter
-      (fun (i : Net.inst) ->
-        state_seen.(i.Net.ix).(Efsm.Compiled.state_id w.execs.(i.Net.ix)) <-
-          true)
-      net.Net.insts
+    for ix = 0 to n - 1 do
+      state_seen.(ix).(Efsm.Compiled.state_id w.execs.(ix)) <- true
+    done
   in
   let mark_fired ix tr =
     let trs = net.Net.insts.(ix).Net.transitions in
-    let n = Array.length trs in
-    let rec find k = if k >= n then () else if trs.(k) == tr then tr_fired.(ix).(k) <- true else find (k + 1) in
-    find 0
+    for k = 0 to Array.length trs - 1 do
+      if trs.(k) == tr then tr_fired.(ix).(k) <- true
+    done
+  in
+  let blocked_buf = Array.make n false in
+  let state_of ix = Efsm.Compiled.state_id w.execs.(ix) in
+  let queue_empty ix = w.q_len.(ix) = 0 in
+  (* the allocation-free fixpoint screens every new state; only a
+     deadlock (which ends the search) builds the member list *)
+  let blocked () =
+    if
+      cfg.check_deadlock
+      && Net.mark_blocked net blocked_buf ~state_of ~queue_empty
+    then Net.blocked_set net ~state_of ~queue_empty
+    else []
   in
   let steps_done = ref 0 in
   let dedup = ref 0 in
   let frontier_peak = ref 0 in
   let truncated = ref false in
   let violation = ref None in
-  (* frontier *)
-  let stack = ref [] in
-  let bfs_q = Queue.create () in
-  let frontier_len = ref 0 in
-  let frontier_push id =
-    (match cfg.order with
-    | Dfs -> stack := id :: !stack
-    | Bfs -> Queue.add id bfs_q);
-    incr frontier_len;
-    if !frontier_len > !frontier_peak then frontier_peak := !frontier_len
+  (* frontier: every stored state is pushed once, in id order, so the
+     BFS queue is the id range [bfs_head, count) *)
+  let bfs_head = ref 0 in
+  let stack = ref (Array.make 1024 0) in
+  let sp = ref 0 in
+  let frontier_len () =
+    match cfg.order with Bfs -> st.count - !bfs_head | Dfs -> !sp
   in
-  let frontier_pop () =
-    match cfg.order with
-    | Dfs -> (
-      match !stack with
-      | [] -> None
-      | id :: rest ->
-        stack := rest;
-        decr frontier_len;
-        Some id)
-    | Bfs ->
-      if Queue.is_empty bfs_q then None
-      else begin
-        decr frontier_len;
-        Some (Queue.take bfs_q)
-      end
+  let add_state ~slot ~h parent via depth =
+    (match concrete with Some c -> successor_concrete cursor w c | None -> ());
+    let id = store_add st ~slot ~head ~key ~h ~concrete parent via depth in
+    (match cfg.order with
+    | Bfs -> ()
+    | Dfs ->
+      if !sp = Array.length !stack then begin
+        let bigger = Array.make (2 * !sp) 0 in
+        Array.blit !stack 0 bigger 0 !sp;
+        stack := bigger
+      end;
+      !stack.(!sp) <- id;
+      incr sp);
+    if frontier_len () > !frontier_peak then frontier_peak := frontier_len ();
+    mark_states ();
+    id
+  in
+  let failed ix what m =
+    raise
+      (Efsm.Action.Type_error
+         (Printf.sprintf "%s at %s (%s) after %d states explored" m
+            net.Net.insts.(ix).Net.path what st.count))
   in
   (* root *)
   (try
      init_world net w ~capacity;
-     mark_states ();
-     let concrete = encode net None w enc in
-     let key = encode net coi w enc in
-     let id = store_add store concrete (-1) (S_deliver (-1)) 0 in
-     Tbl.replace visited key id;
-     frontier_push id;
-     if cfg.check_deadlock then begin
-       let members =
-         Net.blocked_set net
-           ~state_of:(fun ix -> Efsm.Compiled.state_id w.execs.(ix))
-           ~queue_empty:(fun ix -> w.queues.(ix) = [])
-       in
-       if members <> [] then violation := Some (V_deadlock { members }, [])
-     end
-   with Overflow (dest, gsig) ->
-     if cfg.check_overflow then
-       violation := Some (V_overflow { dest; gsig }, []));
+     (* no loaded state yet: every instance's segment is fresh *)
+     for ix = 0 to n - 1 do
+       touch w ix
+     done;
+     let h = successor_key coi cursor w key in
+     let slot = -(find st (Varint.bytes key) (Varint.length key) h) - 1 in
+     ignore (add_state ~slot ~h (-1) 0 0);
+     match blocked () with
+     | [] -> ()
+     | members -> violation := Some (V_deadlock { members }, [])
+   with
+  | Overflow (dest, gsig) ->
+    if cfg.check_overflow then violation := Some (V_overflow { dest; gsig }, [])
+  | Step_failed (ix, what, m) -> failed ix what m);
   let stop = ref (!violation <> None) in
   while not !stop do
-    match frontier_pop () with
-    | None -> stop := true
-    | Some id ->
-      let vec = store.vecs.(id) in
-      let depth = store.depths.(id) in
-      decode net vec w;
-      let steps =
-        if cfg.por then
-          match ample net w cfg with
-          | Some steps -> steps
-          | None -> enabled_steps net w cfg
-        else enabled_steps net w cfg
+    if frontier_len () = 0 then stop := true
+    else begin
+      let id =
+        match cfg.order with
+        | Bfs ->
+          incr bfs_head;
+          !bfs_head - 1
+        | Dfs ->
+          decr sp;
+          !stack.(!sp)
       in
-      let explore_step step =
-        if not !stop then begin
-          decode net vec w;
-          incr steps_done;
-          match apply_step net w ~capacity step with
-          | fired ->
-            (match (step, fired) with
-            | S_deliver ix, Some tr | S_timer ix, Some tr -> mark_fired ix tr
-            | _ -> ());
-            let key = encode net coi w enc in
-            (match Tbl.find_opt visited key with
-            | Some _ -> incr dedup
-            | None ->
-              if store.count >= cfg.budget.max_states then begin
-                truncated := true;
-                stop := true
-              end
-              else if cfg.budget.max_depth > 0 && depth + 1 > cfg.budget.max_depth
-              then truncated := true
-              else begin
-                mark_states ();
-                let concrete = encode net None w enc in
-                let sid = store_add store concrete id step (depth + 1) in
-                Tbl.replace visited (Array.copy key) sid;
-                frontier_push sid;
-                if cfg.check_deadlock then begin
-                  let members =
-                    Net.blocked_set net
-                      ~state_of:(fun ix ->
-                        Efsm.Compiled.state_id w.execs.(ix))
-                      ~queue_empty:(fun ix -> w.queues.(ix) = [])
-                  in
-                  if members <> [] then begin
-                    violation :=
-                      Some (V_deadlock { members }, schedule_to store sid []);
-                    stop := true
-                  end
-                end
-              end)
-          | exception Overflow (dest, gsig) ->
-            if cfg.check_overflow then begin
-              violation :=
-                Some
-                  (V_overflow { dest; gsig }, schedule_to store id [ step ]);
-              stop := true
-            end
-        end
+      let depth = st.depth.(id) in
+      load coi st cursor w id;
+      let n_steps =
+        match if cfg.por then ample net w ~capacity steps_buf 0 else 0 with
+        | 0 -> enabled_steps net w steps_buf
+        | k -> k
       in
-      List.iter explore_step steps
+      let k = ref 0 in
+      while !k < n_steps && not !stop do
+        if !k > 0 then restore cursor w;
+        let code = steps_buf.(!k) in
+        incr k;
+        incr steps_done;
+        match apply_step net w ~capacity code with
+        | fired -> (
+          (match fired with Some tr -> mark_fired (code / 3) tr | None -> ());
+          let h = successor_key coi cursor w key in
+          let found = find st (Varint.bytes key) (Varint.length key) h in
+          if found >= 0 then incr dedup
+          else if st.count >= cfg.budget.max_states then begin
+            truncated := true;
+            stop := true
+          end
+          else if cfg.budget.max_depth > 0 && depth + 1 > cfg.budget.max_depth
+          then truncated := true
+          else
+            let sid = add_state ~slot:(-found - 1) ~h id code (depth + 1) in
+            match blocked () with
+            | [] -> ()
+            | members ->
+              violation := Some (V_deadlock { members }, schedule_to st sid []);
+              stop := true)
+        | exception Overflow (dest, gsig) ->
+          if cfg.check_overflow then begin
+            violation :=
+              Some
+                ( V_overflow { dest; gsig },
+                  schedule_to st id [ step_of_code code ] );
+            stop := true
+          end
+        | exception Step_failed (ix, what, m) -> failed ix what m
+      done
+    end
   done;
   let exhausted =
-    (not !truncated) && !violation = None
-    && (match cfg.order with
-       | Dfs -> !stack = []
-       | Bfs -> Queue.is_empty bfs_q)
+    (not !truncated) && !violation = None && frontier_len () = 0
   in
   let unreached_states =
     Array.to_list net.Net.insts
@@ -650,7 +946,7 @@ let run ?(config = default_config) (net : Net.t) =
   {
     stats =
       {
-        states = store.count;
+        states = st.count;
         steps = !steps_done;
         dedup = !dedup;
         frontier_peak = !frontier_peak;

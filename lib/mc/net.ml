@@ -40,7 +40,7 @@ type inst = {
   class_name : string;
   machine : Efsm.Machine.t;
   prog : Efsm.Compiled.program;
-  routes : (string, route) Hashtbl.t;  (** key: [port ^ "\000" ^ signal] *)
+  routes : route array;  (** one per distinct (port, signal) send site *)
   waits : wait option array;  (** per state id *)
   silent_on : bool array array;  (** [state].(gsig): delivery is silent *)
   silent_after : bool array;  (** [state]: the armed timer step is silent *)
@@ -65,8 +65,6 @@ type t = {
   env_inputs : env_input array;
   ix_of_path : (string, int) Hashtbl.t;
 }
-
-let route_key port signal = port ^ "\000" ^ signal
 
 let words_of_signal (s : Uml.Signal.t) =
   max 1 (((s.Uml.Signal.payload_bytes + 3) / 4) + List.length s.Uml.Signal.params)
@@ -102,6 +100,25 @@ let machine_send_sites (m : Efsm.Machine.t) =
     @ List.map snd m.Efsm.Machine.exit_actions
   in
   List.concat_map (fun b -> sends_of_stmts [] b) blocks
+
+(* ---- route lookup ----------------------------------------------------- *)
+(* An instance has a handful of send sites, so a scan of its route array
+   beats hashing the (port, signal) pair, and allocates nothing. *)
+
+let rec route_from routes ~port ~signal i =
+  if i >= Array.length routes then -1
+  else
+    let r = routes.(i) in
+    if String.equal r.rt_signal signal && String.equal r.rt_port port then i
+    else route_from routes ~port ~signal (i + 1)
+
+(* Index into [inst.routes], -1 when the send site has no route. *)
+let route_index inst ~port ~signal = route_from inst.routes ~port ~signal 0
+
+let find_route inst ~port ~signal =
+  match route_index inst ~port ~signal with
+  | -1 -> None
+  | i -> Some inst.routes.(i)
 
 (* ---- construction ----------------------------------------------------- *)
 
@@ -166,29 +183,25 @@ let build model =
            let path = i.Lint.Network.path in
            let prog = prog_of i.Lint.Network.class_name machine in
            (* routes: one per distinct (port, signal) send site *)
-           let routes = Hashtbl.create 8 in
-           List.iter
-             (fun (port, signal) ->
-               let key = route_key port signal in
-               if not (Hashtbl.mem routes key) then begin
-                 let dests =
-                   Lint.Network.receivers network ~sender:path ~port ~signal
-                   |> List.filter_map (fun p -> Hashtbl.find_opt ix_of_path p)
-                   |> Array.of_list
-                 in
-                 let env =
-                   Lint.Network.env_absorbs network ~sender:path ~port ~signal
-                 in
-                 Hashtbl.add routes key
-                   {
-                     rt_port = port;
-                     rt_signal = signal;
-                     rt_gsig = intern_name signal;
-                     rt_dests = dests;
-                     rt_env = env;
-                   }
-               end)
-             (Efsm.Machine.signals_sent machine);
+           let routes =
+             Efsm.Machine.signals_sent machine
+             |> List.map (fun (port, signal) ->
+                    let dests =
+                      Lint.Network.receivers network ~sender:path ~port ~signal
+                      |> List.filter_map (fun p -> Hashtbl.find_opt ix_of_path p)
+                      |> Array.of_list
+                    in
+                    {
+                      rt_port = port;
+                      rt_signal = signal;
+                      rt_gsig = intern_name signal;
+                      rt_dests = dests;
+                      rt_env =
+                        Lint.Network.env_absorbs network ~sender:path ~port
+                          ~signal;
+                    })
+             |> Array.of_list
+           in
            {
              ix;
              path;
@@ -213,7 +226,7 @@ let build model =
   let stmts_machine_send_free inst stmts =
     List.for_all
       (fun (port, signal, _) ->
-        match Hashtbl.find_opt inst.routes (route_key port signal) with
+        match find_route inst ~port ~signal with
         | None -> true
         | Some r -> Array.length r.rt_dests = 0)
       (sends_of_stmts [] stmts)
@@ -387,9 +400,6 @@ let bind_args t g (values : Efsm.Action.value array) =
   let n = min (Array.length params) (Array.length values) in
   List.init n (fun i -> (fst params.(i), values.(i)))
 
-let find_route inst ~port ~signal =
-  Hashtbl.find_opt inst.routes (route_key port signal)
-
 (* ---- deadlock: blocked-set greatest fixpoint ------------------------- *)
 
 (* Instances permanently stuck in the given global state: every member
@@ -400,42 +410,50 @@ let find_route inst ~port ~signal =
    from in-flight messages (excluded: queues are empty), or from
    producers — and all producers are stuck too.  Greatest fixpoint:
    start from all candidates and peel off anyone with a live escape. *)
+let rec live_producer blocked (producers : int array) j =
+  j < Array.length producers
+  && ((not blocked.(producers.(j))) || live_producer blocked producers (j + 1))
+
+let rec live_trigger blocked (w_producers : int array array) k =
+  k < Array.length w_producers
+  && (live_producer blocked w_producers.(k) 0
+     || live_trigger blocked w_producers (k + 1))
+
+(* The fixpoint into [blocked] (one flag per instance, overwritten);
+   returns whether any instance is blocked.  Allocates nothing, so the
+   explorer can run it on every new state. *)
+let mark_blocked t blocked ~state_of ~queue_empty =
+  let n = Array.length t.insts in
+  let any = ref false in
+  for ix = 0 to n - 1 do
+    let b =
+      match t.insts.(ix).waits.(state_of ix) with
+      | Some w -> (not w.w_env) && queue_empty ix
+      | None -> false
+    in
+    blocked.(ix) <- b;
+    if b then any := true
+  done;
+  let changed = ref !any in
+  while !changed do
+    changed := false;
+    any := false;
+    for ix = 0 to n - 1 do
+      if blocked.(ix) then
+        match t.insts.(ix).waits.(state_of ix) with
+        | Some w when live_trigger blocked w.w_producers 0 ->
+          blocked.(ix) <- false;
+          changed := true
+        | _ -> any := true
+    done
+  done;
+  !any
+
 let blocked_set t ~state_of ~queue_empty =
   let n = Array.length t.insts in
   let blocked = Array.make n false in
-  Array.iter
-    (fun inst ->
-      match inst.waits.(state_of inst.ix) with
-      | Some w when (not w.w_env) && queue_empty inst.ix ->
-        blocked.(inst.ix) <- true
-      | _ -> ())
-    t.insts;
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    Array.iter
-      (fun inst ->
-        if blocked.(inst.ix) then
-          match inst.waits.(state_of inst.ix) with
-          | None -> ()
-          | Some w ->
-            let escaped =
-              Array.exists
-                (fun producers ->
-                  Array.exists (fun j -> not blocked.(j)) producers)
-                w.w_producers
-            in
-            if escaped then begin
-              blocked.(inst.ix) <- false;
-              changed := true
-            end)
-      t.insts
-  done;
-  let members = ref [] in
-  for i = n - 1 downto 0 do
-    if blocked.(i) then members := i :: !members
-  done;
-  !members
+  if not (mark_blocked t blocked ~state_of ~queue_empty) then []
+  else List.filter (fun i -> blocked.(i)) (List.init n Fun.id)
 
 (* ---- engine-polymorphic executors ------------------------------------ *)
 (* The explorer always runs the compiled engine (it needs id-level

@@ -3,7 +3,9 @@
    orders and runs, partial-order-reduction soundness, mutation models
    with reachable deadlocks and queue overflows whose counterexamples
    replay byte for byte under both execution engines, coverage
-   reporting, and the L09 lint-oracle bridge. *)
+   reporting, the L09 lint-oracle bridge, exact state counts pinned
+   under seven configurations, the packed-record codec, and runtime
+   action failures reported with their step. *)
 
 let check = Alcotest.check
 let int_t = Alcotest.int
@@ -245,6 +247,33 @@ let env_param_model () =
          ]
        "Sys")
 
+(* A timer-driven countdown that divides by its counter: the second
+   timer fire computes [10 / 0].  Elaboration succeeds; the failure is
+   reachable only by exploring. *)
+let countdown_model () =
+  let m =
+    machine "Countdown" [ "W" ] "W"
+      ~variables:[ ("n", Efsm.Action.V_int 2); ("x", Efsm.Action.V_int 0) ]
+      [
+        transition ~src:"W" ~dst:"W"
+          ~actions:
+            [
+              Efsm.Action.assign "n" Efsm.Action.(v "n" - i 1);
+              Efsm.Action.assign "x" Efsm.Action.(i 10 / v "n");
+            ]
+          (Efsm.Machine.After 5);
+      ]
+  in
+  let model = Uml.Model.empty "countdown" in
+  let model =
+    Uml.Model.add_class model
+      (Uml.Classifier.make ~kind:Uml.Classifier.Active ~behavior:m "Countdown")
+  in
+  Uml.Model.add_class model
+    (Uml.Classifier.make
+       ~parts:[ { Uml.Classifier.name = "m"; class_name = "Countdown" } ]
+       "Sys")
+
 let rules ds rule =
   List.filter (fun d -> d.Lint.Diagnostic.rule = rule) ds
 
@@ -252,6 +281,19 @@ let run_check ?options model =
   match Mc.Check.run ?options model with
   | Ok r -> r
   | Error e -> Alcotest.fail ("check failed: " ^ e)
+
+let pin_t = Alcotest.(list int)
+
+let pin_of (r : Mc.Check.report) =
+  let s = r.Mc.Check.r_stats in
+  [
+    s.Mc.Explore.states;
+    s.Mc.Explore.steps;
+    s.Mc.Explore.dedup;
+    s.Mc.Explore.frontier_peak;
+    r.Mc.Check.r_unreached;
+    r.Mc.Check.r_unfired;
+  ]
 
 (* -- seed model --------------------------------------------------------- *)
 
@@ -328,7 +370,66 @@ let test_env_budget_two_overflow_free () =
   check int_t "no M02 queue overflow" 0
     (List.length (rules r.Mc.Check.r_diagnostics "M02"));
   check int_t "no errors at all" 0
-    (List.length (Lint.Diagnostic.errors r.Mc.Check.r_diagnostics))
+    (List.length (Lint.Diagnostic.errors r.Mc.Check.r_diagnostics));
+  check pin_t "pinned counts" [ 243_209; 716_595; 473_387; 11_917; 0; 2 ]
+    (pin_of r)
+
+(* -- behaviour pins ------------------------------------------------------ *)
+
+(* Exact (states, steps, dedup, frontier peak, unreached, unfired) of
+   the seed network under the `tutflow check` configurations CI and the
+   benchmark exercise.  Any change to the state store, the successor
+   order or the reductions that alters what is explored moves one of
+   these numbers. *)
+let test_seed_pins () =
+  let d = Mc.Check.default_options and b = Mc.Explore.default_budget in
+  let timer1 = { b with Mc.Explore.timer_budget = 1 } in
+  List.iter
+    (fun (name, options, expected) ->
+      check pin_t name expected (pin_of (run_check ~options (seed_model ()))))
+    [
+      ("default", d, [ 13_140; 34_423; 21_284; 744; 0; 1 ]);
+      ( "order dfs",
+        { d with Mc.Check.order = Mc.Explore.Dfs },
+        [ 13_140; 34_423; 21_284; 36; 0; 1 ] );
+      ( "por off, timer 1",
+        { d with Mc.Check.por = false; budget = timer1 },
+        [ 30_814; 128_563; 97_750; 1_824; 0; 2 ] );
+      ( "coi off",
+        { d with Mc.Check.coi = false },
+        [ 16_620; 40_167; 23_548; 926; 0; 1 ] );
+      ( "dfs, coi off, por off, timer 1",
+        {
+          d with
+          Mc.Check.order = Mc.Explore.Dfs;
+          coi = false;
+          por = false;
+          budget = timer1;
+        },
+        [ 30_814; 128_563; 97_750; 54; 0; 2 ] );
+      ( "max-states 100",
+        { d with Mc.Check.budget = { b with Mc.Explore.max_states = 100 } },
+        [ 100; 159; 59; 65; 1; 6 ] );
+    ]
+
+(* The unbounded ping-pong counter with the cone of influence off: every
+   state is distinct, so a depth cap of 16 400 walks the counter past 63
+   and 8 191, the one- and two-byte limits of a packed record slot.  A
+   store that truncated or aliased large values would merge states. *)
+let test_pingpong_wide_counter () =
+  let config =
+    {
+      Mc.Explore.default_config with
+      Mc.Explore.coi = false;
+      budget = { Mc.Explore.default_budget with Mc.Explore.max_depth = 16_400 };
+    }
+  in
+  let r = explore ~config (pingpong_model ~bound:None) in
+  let s = r.Mc.Explore.stats in
+  check int_t "one state per depth" 16_401 s.Mc.Explore.states;
+  check int_t "one step per state" 16_401 s.Mc.Explore.steps;
+  check int_t "no merges" 0 s.Mc.Explore.dedup;
+  check bool_t "truncated by the depth cap" false s.Mc.Explore.exhausted
 
 (* -- deadlock mutation --------------------------------------------------- *)
 
@@ -453,6 +554,75 @@ let test_env_param_caveat () =
     (contains (List.hd (rules r.Mc.Check.r_diagnostics "M06")).Lint.Diagnostic.message
        "kick")
 
+(* -- the packed record codec --------------------------------------------- *)
+
+let encode values =
+  let w = Mc.Varint.writer () in
+  List.iter (Mc.Varint.add w) values;
+  Bytes.sub_string (Mc.Varint.bytes w) 0 (Mc.Varint.length w)
+
+let decode n bytes =
+  let r = Mc.Varint.reader () in
+  Mc.Varint.seek r (Bytes.of_string bytes) 0;
+  let values = List.init n (fun _ -> Mc.Varint.read r) in
+  (values, Mc.Varint.pos r)
+
+(* Small magnitudes of both signs, the one- and two-byte boundaries, and
+   the extremes of the 63-bit range. *)
+let slot_values =
+  QCheck.make
+    ~print:QCheck.Print.(list int)
+    QCheck.Gen.(
+      small_list
+        (frequency
+           [
+             (4, int_range (-3) 3);
+             (2, oneofl [ -65; -64; 63; 64; -8193; -8192; 8191; 8192 ]);
+             (1, oneofl [ min_int; max_int; min_int + 1; max_int - 1 ]);
+             (2, int);
+           ]))
+
+let prop_round_trip =
+  QCheck.Test.make ~name:"record codec round-trips" ~count:500 slot_values
+    (fun values ->
+      let bytes = encode values in
+      decode (List.length values) bytes = (values, String.length bytes))
+
+let prop_injective =
+  QCheck.Test.make ~name:"record codec is injective" ~count:500
+    (QCheck.pair slot_values slot_values) (fun (a, b) ->
+      (encode a = encode b) = (a = b))
+
+let test_codec_widths () =
+  List.iter
+    (fun (x, width) ->
+      check int_t (Printf.sprintf "bytes for %d" x) width
+        (String.length (encode [ x ])))
+    [
+      (0, 1); (-64, 1); (63, 1); (64, 2); (-65, 2); (8191, 2); (8192, 3);
+      (min_int, 9); (max_int, 9);
+    ]
+
+(* -- runtime failures ------------------------------------------------------ *)
+
+let test_runtime_error_located () =
+  match Mc.Check.run (countdown_model ()) with
+  | Ok _ -> Alcotest.fail "division by zero went unreported"
+  | Error e ->
+    List.iter
+      (fun needle ->
+        check bool_t (Printf.sprintf "%S mentions %S" e needle) true
+          (contains e needle))
+      [
+        "exploration failed";
+        "division by zero";
+        "/m";
+        "firing its timer";
+        "after 2 states explored";
+      ];
+    check bool_t "not blamed on elaboration" false
+      (contains e "elaboration")
+
 (* -- seed lint end-to-end ------------------------------------------------ *)
 
 let test_seed_lint_discharged () =
@@ -482,6 +652,13 @@ let () =
           Alcotest.test_case "lint L09 discharged" `Quick
             test_seed_lint_discharged;
         ] );
+      ( "pins",
+        [
+          Alcotest.test_case "seed counts under seven configurations" `Quick
+            test_seed_pins;
+          Alcotest.test_case "wide counter survives the packed store" `Quick
+            test_pingpong_wide_counter;
+        ] );
       ( "deadlock",
         [
           Alcotest.test_case "spurious cycle discharged" `Quick
@@ -502,5 +679,16 @@ let () =
             test_coverage_reports;
           Alcotest.test_case "environment payload caveat" `Quick
             test_env_param_caveat;
+        ] );
+      ( "codec",
+        [
+          Alcotest.test_case "one- and two-byte limits" `Quick test_codec_widths;
+          QCheck_alcotest.to_alcotest prop_round_trip;
+          QCheck_alcotest.to_alcotest prop_injective;
+        ] );
+      ( "failure",
+        [
+          Alcotest.test_case "runtime type error names its step" `Quick
+            test_runtime_error_located;
         ] );
     ]
