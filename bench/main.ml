@@ -962,22 +962,14 @@ let bench_obs () =
 (* Written to BENCH_sim.json; run alone with TUTBENCH_ONLY=sim (the CI
    perf smoke).  Two measurements plus the gates:
 
-   - end-to-end: the TUTMAC scenario across the full engine x
-     trace-backend matrix.  The headline speedup compares the original
-     configuration (reference engine + list trace store) against the
-     optimised one (compiled engine + arena store), alternating
-     back-to-back pairs; per-cell minor words/event and events/sec are
-     reported for all four cells.  Gates: all four traces must render
-     byte-identically, the headline speedup must clear 1.5x, and the
-     optimised cell must stay under 32 minor words/event.
-
-     The 1.5x floor is deliberately below the measured 1.65x (2 s
-     horizon): most remaining time is shared machinery — RTOS burst
-     accounting, HIBI transfers, trace recording — that both engines
-     pay identically, and the tie-break seq discipline (every schedule
-     call draws a seq so equal-time events order identically across
-     backends) rules out batching schemes that would cut it further.
-     The floor guards against regressions, not against physics.
+   - end-to-end: the TUTMAC scenario under both EFSM engines, both on
+     the arena trace store and the calendar event queue; per-engine
+     minor words/event and events/sec, and the reference/compiled wall
+     time ratio from alternating back-to-back pairs.  Gates: both traces
+     must render byte-identically, and the compiled cell must stay
+     under 32 minor words/event.  The ratio is printed, not gated: the
+     reference engine is a test oracle nobody runs, and end-to-end wall
+     time is guarded by the benchmark/ workloads' run_s and ops_per_s.
    - kernel: pure EFSM stepping on the real machines of the lowered
      TUTMAC system, no event queue or platform around them — the
      Interp-vs-Compiled ratio the bytecode engine is actually about.
@@ -991,12 +983,11 @@ let bench_sim () =
   in
   section
     (Printf.sprintf "Compiled simulation kernel (%d ms horizon)" sim_ms);
-  let config engine backend =
+  let config engine =
     {
       Tutmac.Scenario.default with
       Tutmac.Scenario.duration_ns = Int64.mul (Int64.of_int sim_ms) 1_000_000L;
       engine;
-      trace_backend = backend;
     }
   in
   let time f =
@@ -1011,63 +1002,47 @@ let bench_sim () =
     a.(Array.length a / 2)
   in
   let min3 f = min (f ()) (min (f ()) (f ())) in
-  let run engine backend () =
-    match Tutmac.Scenario.run (config engine backend) with
+  let run engine () =
+    match Tutmac.Scenario.run (config engine) with
     | Ok result -> result
     | Error e ->
       prerr_endline e;
       exit 1
   in
-  (* Divergence gate first: one run per matrix cell, full-trace diff
-     against the (reference, list) corner. *)
+  (* Divergence gate first: one run per engine, full-trace diff. *)
   let matrix =
     [
-      ("reference_list", Codegen.Runtime.Reference, Sim.Trace.List);
-      ("reference_arena", Codegen.Runtime.Reference, Sim.Trace.Arena);
-      ("compiled_list", Codegen.Runtime.Compiled, Sim.Trace.List);
-      ("compiled_arena", Codegen.Runtime.Compiled, Sim.Trace.Arena);
+      ("reference", Codegen.Runtime.Reference);
+      ("compiled", Codegen.Runtime.Compiled);
     ]
   in
-  let cell_lines =
-    List.map
-      (fun (label, engine, backend) ->
-        (label, Sim.Trace.to_lines (run engine backend ()).Tutmac.Scenario.trace))
-      matrix
+  let lines engine = Sim.Trace.to_lines (run engine ()).Tutmac.Scenario.trace in
+  let ref_lines = lines Codegen.Runtime.Reference in
+  let rec first i = function
+    | [], [] -> None
+    | a :: _, [] -> Some (i, a, "<end>")
+    | [], b :: _ -> Some (i, "<end>", b)
+    | a :: ra, b :: rb ->
+      if a <> b then Some (i, a, b) else first (i + 1) (ra, rb)
   in
-  let ref_lines = List.assoc "reference_list" cell_lines in
-  List.iter
-    (fun (label, lines) ->
-      let rec first i = function
-        | [], [] -> None
-        | a :: _, [] -> Some (i, a, "<end>")
-        | [], b :: _ -> Some (i, "<end>", b)
-        | a :: ra, b :: rb ->
-          if a <> b then Some (i, a, b) else first (i + 1) (ra, rb)
-      in
-      match first 0 (ref_lines, lines) with
-      | Some (i, a, b) ->
-        Printf.printf
-          "  FAIL: %s diverges from reference_list at event %d\n\
-          \    reference_list: %s\n    %s: %s\n"
-          label i a label b;
-        exit 1
-      | None -> ())
-    cell_lines;
-  Printf.printf "  traces identical across the engine x backend matrix (%d events)\n"
+  (match first 0 (ref_lines, lines Codegen.Runtime.Compiled) with
+  | Some (i, a, b) ->
+    Printf.printf
+      "  FAIL: compiled diverges from reference at event %d\n\
+      \    reference: %s\n    compiled:  %s\n"
+      i a b;
+    exit 1
+  | None -> ());
+  Printf.printf "  traces identical across both engines (%d events)\n"
     (List.length ref_lines);
-  (* Headline end-to-end timing — the original configuration (reference
-     engine, list store) against the optimised one (compiled engine,
-     arena store): alternating back-to-back pairs, min-of-3 each side,
-     median of the per-pair ratios. *)
+  (* Engine-vs-engine end-to-end timing: alternating back-to-back pairs,
+     min-of-3 each side, median of the per-pair ratios. *)
   let reps = 7 in
   let ref_s = ref [] and com_s = ref [] and ratios = ref [] in
   for i = 1 to reps do
-    let measure_ref () =
-      min3 (fun () -> time (run Codegen.Runtime.Reference Sim.Trace.List))
-    in
-    let measure_com () =
-      min3 (fun () -> time (run Codegen.Runtime.Compiled Sim.Trace.Arena))
-    in
+    let measure engine () = min3 (fun () -> time (run engine)) in
+    let measure_ref = measure Codegen.Runtime.Reference in
+    let measure_com = measure Codegen.Runtime.Compiled in
     let r, c =
       if i mod 2 = 0 then
         let r = measure_ref () in
@@ -1081,15 +1056,15 @@ let bench_sim () =
     ratios := (r /. c) :: !ratios
   done;
   let ref_med = median !ref_s and com_med = median !com_s in
-  let scenario_speedup = median !ratios in
+  let engine_ratio = median !ratios in
   (* Minor words per event and recording throughput, one run per cell. *)
   let cell_stats =
     List.map
-      (fun (label, engine, backend) ->
+      (fun (label, engine) ->
         Gc.full_major ();
         let w0 = Gc.minor_words () in
         let t0 = Unix.gettimeofday () in
-        let result = run engine backend () in
+        let result = run engine () in
         let dt = Unix.gettimeofday () -. t0 in
         let w1 = Gc.minor_words () in
         let events = max 1 (Sim.Trace.length result.Tutmac.Scenario.trace) in
@@ -1098,10 +1073,10 @@ let bench_sim () =
       matrix
   in
   let cell_words label = fst (List.assoc label cell_stats) in
-  Printf.printf "  %-28s %10.4f s\n" "reference + list store" ref_med;
-  Printf.printf "  %-28s %10.4f s\n" "compiled + arena store" com_med;
-  Printf.printf "  %-28s %10.2f x (target 3x)\n" "end-to-end speedup"
-    scenario_speedup;
+  Printf.printf "  %-28s %10.4f s\n" "reference engine" ref_med;
+  Printf.printf "  %-28s %10.4f s\n" "compiled engine" com_med;
+  Printf.printf "  %-28s %10.2f x (not gated)\n" "end-to-end engine ratio"
+    engine_ratio;
   List.iter
     (fun (label, (words, events_per_sec)) ->
       Printf.printf "  %-28s %10.1f minor words/event %12.0f events/s\n" label
@@ -1330,9 +1305,9 @@ let bench_sim () =
             ("reps", Obs.Json.Int reps);
             ("trace_events", Obs.Json.Int (List.length ref_lines));
             ("traces_identical", Obs.Json.Bool true);
-            ("scenario_reference_list_seconds", Obs.Json.Float ref_med);
-            ("scenario_compiled_arena_seconds", Obs.Json.Float com_med);
-            ("scenario_speedup", Obs.Json.Float scenario_speedup);
+            ("scenario_reference_seconds", Obs.Json.Float ref_med);
+            ("scenario_compiled_seconds", Obs.Json.Float com_med);
+            ("scenario_engine_ratio", Obs.Json.Float engine_ratio);
             ( "scenario_cells",
               Obs.Json.Obj
                 (List.map
@@ -1360,17 +1335,10 @@ let bench_sim () =
   output_char oc '\n';
   close_out oc;
   Printf.printf "  simulation benchmark written to BENCH_sim.json\n";
-  if scenario_speedup < 1.5 then begin
+  if cell_words "compiled" > 32.0 then begin
     Printf.printf
-      "  FAIL: end-to-end speedup %.2fx below the 1.5x floor (reference+list \
-       vs compiled+arena)\n"
-      scenario_speedup;
-    exit 1
-  end;
-  if cell_words "compiled_arena" > 32.0 then begin
-    Printf.printf
-      "  FAIL: compiled+arena allocates %.1f minor words/event (limit 32)\n"
-      (cell_words "compiled_arena");
+      "  FAIL: the compiled engine allocates %.1f minor words/event (limit 32)\n"
+      (cell_words "compiled");
     exit 1
   end;
   if kernel_speedup < 1.0 then begin
@@ -1386,8 +1354,7 @@ let bench_sim () =
 
    - determinism: a 1-terminal fleet — the degenerate configuration
      closest to the seed single-terminal path — must render
-     byte-identical reports and traces across the engine x trace-backend
-     matrix and across a repeated run of the same (plan, seed).
+     byte-identical reports and traces under both EFSM engines.
    - scale: a 200-terminal, fault-plan-driven fleet must finish inside
      the wall-clock budget with >= 99% of offered frames resolved as
      delivered, cleanly abandoned, or flushed by churn — nothing may
@@ -1422,7 +1389,7 @@ let bench_wlan () =
       prerr_endline e;
       exit 1
   in
-  let config ~terminals ~faults engine backend =
+  let config ~terminals ~faults engine =
     {
       Tutmac.Wlan.default with
       Tutmac.Wlan.terminals;
@@ -1431,44 +1398,29 @@ let bench_wlan () =
       faults;
       fault_seed = 42;
       engine;
-      trace_backend = backend;
     }
   in
   let fingerprint (r : Tutmac.Wlan.result) =
     Tutmac.Wlan.render r ^ "\n--\n"
     ^ String.concat "\n" (Sim.Trace.to_lines r.Tutmac.Wlan.trace)
   in
-  (* Gate 1: the 1-terminal fleet replays byte-identically everywhere. *)
-  let matrix =
-    [
-      ("reference_list", Codegen.Runtime.Reference, Sim.Trace.List);
-      ("reference_arena", Codegen.Runtime.Reference, Sim.Trace.Arena);
-      ("compiled_list", Codegen.Runtime.Compiled, Sim.Trace.List);
-      ("compiled_arena", Codegen.Runtime.Compiled, Sim.Trace.Arena);
-    ]
+  (* Gate 1: the 1-terminal fleet replays byte-identically under both
+     engines. *)
+  let one_cell engine =
+    fingerprint (Tutmac.Wlan.run (config ~terminals:1 ~faults:plan engine))
   in
-  let one_cell engine backend =
-    fingerprint (Tutmac.Wlan.run (config ~terminals:1 ~faults:plan engine backend))
-  in
-  let reference_fp = one_cell Codegen.Runtime.Reference Sim.Trace.List in
-  List.iter
-    (fun (label, engine, backend) ->
-      if one_cell engine backend <> reference_fp then begin
-        Printf.printf "  FAIL: 1-terminal %s diverges from reference_list\n"
-          label;
-        exit 1
-      end)
-    matrix;
-  Printf.printf
-    "  1-terminal fleet byte-identical across the engine x backend matrix\n";
+  if one_cell Codegen.Runtime.Compiled <> one_cell Codegen.Runtime.Reference
+  then begin
+    Printf.printf "  FAIL: 1-terminal compiled fleet diverges from reference\n";
+    exit 1
+  end;
+  Printf.printf "  1-terminal fleet byte-identical under both engines\n";
   (* Gate 2: 200 terminals under fire, inside the wall budget, with the
      offered load resolved rather than wedged. *)
   Gc.full_major ();
   let t0 = Unix.gettimeofday () in
   let r =
-    Tutmac.Wlan.run
-      (config ~terminals:200 ~faults:plan Codegen.Runtime.Compiled
-         Sim.Trace.Arena)
+    Tutmac.Wlan.run (config ~terminals:200 ~faults:plan Codegen.Runtime.Compiled)
   in
   let wall_s = Unix.gettimeofday () -. t0 in
   let resolved =

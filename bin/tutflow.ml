@@ -4,8 +4,7 @@
 
 open Cmdliner
 
-let config_of ~duration_ms ~arbitration ~fifo ~crc_sw ~faults ~fault_seed
-    ~engine ~trace_backend =
+let config_of ~duration_ms ~arbitration ~fifo ~crc_sw ~faults ~fault_seed =
   let platform =
     {
       Tutmac.Platform_model.default_params with
@@ -24,11 +23,6 @@ let config_of ~duration_ms ~arbitration ~fifo ~crc_sw ~faults ~fault_seed
     Tutmac.Scenario.crc_on_accelerator = not crc_sw;
     Tutmac.Scenario.faults = Option.value ~default:Fault.Plan.empty faults;
     Tutmac.Scenario.fault_seed;
-    Tutmac.Scenario.engine =
-      (if engine = "reference" then Codegen.Runtime.Reference
-       else Codegen.Runtime.Compiled);
-    Tutmac.Scenario.trace_backend =
-      (if trace_backend = "list" then Sim.Trace.List else Sim.Trace.Arena);
   }
 
 let duration_arg =
@@ -72,46 +66,12 @@ let fault_seed_arg =
   in
   Arg.(value & opt int 1 & info [ "fault-seed" ] ~docv:"N" ~doc)
 
-(* One flag selects both engine pairs: the EFSM execution engine of the
-   simulation (Efsm.Compiled bytecode + calendar queue vs the
-   tree-walking reference) and, for $(b,explore), the DSE cost kernel.
-   Every pair is bit-identical by construction, so the flag is purely a
-   speed/debuggability trade-off. *)
-let sim_engine_arg =
-  let doc =
-    "Execution engine: 'compiled' (default) runs the EFSM network as \
-     interned bytecode over a calendar event queue, 'reference' as the \
-     tree-walking interpreter over a binary heap.  Traces and reports \
-     are bit-identical; 'reference' exists as the oracle for \
-     cross-checks."
-  in
-  Arg.(
-    value
-    & opt (enum [ ("compiled", "compiled"); ("reference", "reference") ])
-        "compiled"
-    & info [ "engine" ] ~docv:"ENGINE" ~doc)
-
-let trace_backend_arg =
-  let doc =
-    "Event-log store: 'arena' (default) records into flat interned \
-     integer columns and renders lines lazily, 'list' heap-allocates one \
-     event per record.  Log lines are byte-identical; 'list' exists as \
-     the oracle for the render-equality checks."
-  in
-  Arg.(
-    value
-    & opt (enum [ ("arena", "arena"); ("list", "list") ]) "arena"
-    & info [ "trace-backend" ] ~docv:"BACKEND" ~doc)
-
 let config_term =
   Term.(
-    const
-      (fun duration_ms arbitration fifo crc_sw faults fault_seed engine
-           trace_backend ->
-        config_of ~duration_ms ~arbitration ~fifo ~crc_sw ~faults ~fault_seed
-          ~engine ~trace_backend)
+    const (fun duration_ms arbitration fifo crc_sw faults fault_seed ->
+        config_of ~duration_ms ~arbitration ~fifo ~crc_sw ~faults ~fault_seed)
     $ duration_arg $ arbitration_arg $ fifo_arg $ crc_sw_arg $ faults_arg
-    $ fault_seed_arg $ sim_engine_arg $ trace_backend_arg)
+    $ fault_seed_arg)
 
 (* -- observability ----------------------------------------------------- *)
 
@@ -667,14 +627,6 @@ let jobs_arg =
 
 let explore_cmd =
   let run config algorithm seed iterations jobs =
-    (* the shared --engine flag also picks the DSE cost kernel:
-       compiled = pre-compiled incremental kernel, reference = plain
-       closure-based cost model (bit-identical, the cross-check oracle) *)
-    let engine =
-      match config.Tutmac.Scenario.engine with
-      | Codegen.Runtime.Compiled -> "compiled"
-      | Codegen.Runtime.Reference -> "reference"
-    in
     match Tutmac.Scenario.run config with
     | Error e ->
       prerr_endline e;
@@ -682,53 +634,31 @@ let explore_cmd =
     | Ok result ->
       let builder = Tutmac.Scenario.build_model config in
       let view = Tut_profile.Builder.view builder in
-      let profile = Dse.Cost.of_report result.Tutmac.Scenario.report in
-      let platform = Dse.Cost.of_view view in
-      let eval = Dse.Cost.cost ~profile ~platform in
+      let spec =
+        Dse.Compiled.spec
+          ~profile:(Dse.Cost.of_report result.Tutmac.Scenario.report)
+          ~platform:(Dse.Cost.of_view view) ()
+      in
       let candidates = Dse.Cost.candidates view in
+      let kernel = Dse.Compiled.compile spec ~candidates in
       let init = Dse.Cost.current_assignment view in
       let jobs =
         if jobs = 0 then Domain.recommended_domain_count () else max 1 jobs
       in
       let outcome =
-        match algorithm, engine with
-        | "greedy", "reference" ->
-          Ok (Dse.Explore.greedy ~eval ~candidates ~init ())
-        | "sa", "reference" ->
-          Ok
-            (Dse.Parallel.simulated_annealing ~jobs ~seed ~iterations ~eval
-               ~candidates ~init ())
-        | "random", "reference" ->
-          Ok
-            (Dse.Parallel.random_search ~jobs ~seed ~iterations ~eval
-               ~candidates ())
-        | "exhaustive", "reference" ->
-          Ok (Dse.Parallel.exhaustive ~jobs ~eval ~candidates ())
-        | "greedy", "compiled" ->
-          let kernel =
-            Dse.Compiled.compile
-              (Dse.Compiled.spec ~profile ~platform ())
-              ~candidates
-          in
-          Ok (Dse.Explore.greedy_compiled ~kernel ~init ())
-        | "sa", "compiled" ->
+        match algorithm with
+        | "greedy" -> Ok (Dse.Explore.greedy_compiled ~kernel ~init ())
+        | "sa" ->
           Ok
             (Dse.Parallel.simulated_annealing_compiled ~jobs ~seed ~iterations
-               ~spec:(Dse.Compiled.spec ~profile ~platform ())
-               ~candidates ~init ())
-        | "random", "compiled" ->
+               ~spec ~candidates ~init ())
+        | "random" ->
           Ok
-            (Dse.Parallel.random_search_compiled ~jobs ~seed ~iterations
-               ~spec:(Dse.Compiled.spec ~profile ~platform ())
+            (Dse.Parallel.random_search_compiled ~jobs ~seed ~iterations ~spec
                ~candidates ())
-        | "exhaustive", "compiled" ->
-          Ok
-            (Dse.Parallel.exhaustive_compiled ~jobs
-               ~spec:(Dse.Compiled.spec ~profile ~platform ())
-               ~candidates ())
-        | ("greedy" | "sa" | "random" | "exhaustive"), _ ->
-          assert false (* --engine is an enum: compiled | reference *)
-        | other, _ -> Error ("unknown algorithm " ^ other)
+        | "exhaustive" ->
+          Ok (Dse.Parallel.exhaustive_compiled ~jobs ~spec ~candidates ())
+        | other -> Error ("unknown algorithm " ^ other)
       in
       (match outcome with
       | Error e ->
@@ -737,7 +667,8 @@ let explore_cmd =
       | Ok result ->
         if jobs > 1 && algorithm <> "greedy" then
           Printf.printf "exploring with %d worker domains\n" jobs;
-        Printf.printf "initial mapping cost: %.2f\n" (eval init);
+        Printf.printf "initial mapping cost: %.2f\n"
+          (Dse.Compiled.full_cost kernel init);
         Printf.printf "best cost: %.2f after %d evaluations\n"
           result.Dse.Explore.best_cost result.Dse.Explore.evaluations;
         List.iter
@@ -1056,8 +987,8 @@ let trace_out_arg =
 let replay_arg =
   let doc =
     "Replay this counterexample trace against the model instead of \
-     exploring: re-execute its embedded schedule under --engine and \
-     require the regenerated trace to match byte for byte."
+     exploring: re-execute its embedded schedule on the compiled engine \
+     and require the regenerated trace to match byte for byte."
   in
   Arg.(value & opt (some file) None & info [ "replay" ] ~docv:"FILE" ~doc)
 
@@ -1100,12 +1031,9 @@ let check_cmd =
             2
           | Ok trace -> (
             let net = Mc.Net.build model in
-            let engine =
-              match config.Tutmac.Scenario.engine with
-              | Codegen.Runtime.Reference -> Mc.Net.Reference
-              | Codegen.Runtime.Compiled -> Mc.Net.Compiled
-            in
-            match Mc.Counterexample.replay net ~engine trace with
+            match
+              Mc.Counterexample.replay net ~engine:Mc.Net.Compiled trace
+            with
             | Error e ->
               prerr_endline e;
               1
@@ -1230,8 +1158,7 @@ let wlan_cmd =
       & info [ "format" ] ~docv:"FMT" ~doc)
   in
   let run duration_ms terminals slot_ns seed mix churn max_retries faults
-      fault_seed engine trace_backend jobs format log chrome_trace metrics_out
-      =
+      fault_seed jobs format log chrome_trace metrics_out =
     let mix_or_err =
       let names =
         List.filter
@@ -1266,11 +1193,6 @@ let wlan_cmd =
           Tutmac.Wlan.faults = Option.value ~default:Fault.Plan.empty faults;
           Tutmac.Wlan.fault_seed;
           Tutmac.Wlan.jobs;
-          Tutmac.Wlan.engine =
-            (if engine = "reference" then Codegen.Runtime.Reference
-             else Codegen.Runtime.Compiled);
-          Tutmac.Wlan.trace_backend =
-            (if trace_backend = "list" then Sim.Trace.List else Sim.Trace.Arena);
         }
       in
       match Tutmac.Wlan.run ~obs config with
@@ -1297,9 +1219,8 @@ let wlan_cmd =
           (collisions, channel faults, churn)")
     Term.(
       const run $ duration_arg $ terminals_arg $ slot_arg $ seed_arg $ mix_arg
-      $ churn_arg $ retries_arg $ faults_arg $ fault_seed_arg $ sim_engine_arg
-      $ trace_backend_arg $ jobs_arg $ format_arg $ log_arg $ chrome_trace_arg
-      $ metrics_out_arg)
+      $ churn_arg $ retries_arg $ faults_arg $ fault_seed_arg $ jobs_arg
+      $ format_arg $ log_arg $ chrome_trace_arg $ metrics_out_arg)
 
 (* -- faults ----------------------------------------------------------- *)
 

@@ -717,7 +717,7 @@ and arm_timer t proc =
      Re-arming cancels the previous arming (so the shared [timer_fire]
      callback always refers to the latest one, with [armed_state]
      discarding firings that raced a state change) and reuses its
-     handle when the backend allows. *)
+     handle. *)
   match exec_timer_request proc.exec with
   | None ->
     Sim.Engine.cancel proc.timer;
@@ -841,7 +841,7 @@ let schedule_pe_faults t f =
     (Fault.Injector.pe_slowdowns f.injector)
 
 let create ?trace:(trace_store = Sim.Trace.create ()) ?faults ?obs ?flows
-    ?(engine = Reference) sys =
+    ?(engine = Compiled) sys =
   let engine_kind = engine in
   match Ir.check sys with
   | _ :: _ as problems -> Error problems
@@ -849,12 +849,7 @@ let create ?trace:(trace_store = Sim.Trace.create ()) ?faults ?obs ?flows
     let obs = match obs with Some s -> s | None -> Obs.Scope.null () in
     let flows = match flows with Some f -> f | None -> Obs.Flow.disabled () in
     let metrics = Obs.Scope.metrics obs in
-    let backend =
-      match engine_kind with
-      | Reference -> `Binary_heap
-      | Compiled -> `Calendar
-    in
-    let engine = Sim.Engine.create ~backend ~obs () in
+    let engine = Sim.Engine.create ~obs () in
     let network = Hibi.Network.create ~obs engine in
     List.iter
       (fun (s : Ir.segment_decl) ->

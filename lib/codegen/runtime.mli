@@ -16,13 +16,12 @@
 type t
 
 type engine_kind = Reference | Compiled
-(** Which EFSM execution engine the processes run on.  [Reference] is
-    the tree-walking {!Efsm.Interp} over a binary-heap event queue;
-    [Compiled] executes {!Efsm.Compiled} bytecode over interned dispatch
-    tables with a calendar event queue ({!Sim.Calendar}).  Both produce
-    bit-identical traces — the differential suite and the CI engine
-    matrix enforce it — so the choice is purely a speed/debuggability
-    trade-off. *)
+(** Which EFSM execution engine the processes run on.  [Compiled]
+    executes {!Efsm.Compiled} bytecode over interned dispatch tables;
+    [Reference] is the tree-walking {!Efsm.Interp}, the readable
+    semantics that the differential tests compare [Compiled] against.
+    Both run on the same {!Sim.Engine} calendar queue and produce
+    bit-identical traces. *)
 
 val create :
   ?trace:Sim.Trace.t ->
@@ -34,7 +33,7 @@ val create :
   (t, string list) result
 (** Builds PEs, the HIBI network and process instances; returns errors
     from {!Ir.check} or inconsistent wrappers.  [engine] selects the
-    EFSM execution engine (default [Reference]).  [obs] is threaded through
+    EFSM execution engine (default [Compiled]).  [obs] is threaded through
     every layer (engine, schedulers, HIBI) and additionally receives
     per-process send/discard counters, the [app.exec_cycles_total]
     counter (cross-checkable against the profiling report) and one trace

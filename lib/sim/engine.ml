@@ -7,19 +7,29 @@ type handle = {
   mutable live : bool;
   mutable qnext : handle;
       (** intrusive calendar-bucket link ([== dummy] terminates): the
-          handle doubles as its own queue cell, so the calendar backend
-          enqueues without allocating *)
+          handle doubles as its own queue cell, so scheduling enqueues
+          without allocating *)
 }
 
 let rec dummy =
   { time = 0; seq = 0; callback = (fun () -> ()); live = false; qnext = dummy }
 
-(* Intrusive twin of {!Calendar} (same Brown-1988 bucketed algorithm,
-   same lazy deletion and memoized minimum — keep the two in sync): the
-   handle itself is the bucket cell via [qnext], so steady-state
+(* Bucketed calendar queue (R. Brown, CACM 1988, adapted), intrusive:
+   the handle itself is the bucket cell via [qnext], so steady-state
    scheduling allocates only the handle the caller already pays for.
    [dummy] doubles as the nil link/result sentinel; it is never
-   scheduled, so physical equality is unambiguous. *)
+   scheduled, so physical equality is unambiguous.
+
+   Events hash into buckets by [time / width mod n_buckets]; each bucket
+   is kept sorted by [(time, seq)], so its head is its minimum and two
+   events at one timestamp dequeue in scheduling order (seq is
+   monotone).  A pop scans one lap of buckets from the bucket of the
+   last popped time ([floor]); a sparse lap falls back to a direct
+   minimum over all heads.  Cancellation is lazy: dead entries are
+   dropped when they surface at a bucket head.  The structure resizes,
+   re-deriving the width from the live events' spacing, when occupancy
+   strays far from the bucket count.  The last minimum found is
+   memoized so a peek followed by a pop scans once. *)
 module Iq = struct
   type cal = {
     mutable buckets : handle array;
@@ -94,6 +104,8 @@ module Iq = struct
       match entries with
       | [] | [ _ ] -> t.width
       | h0 :: _ ->
+        (* three times the average spacing keeps a handful of events
+           per bucket for the usual periodic workloads *)
         let hn = List.nth entries (n_live - 1) in
         let avg = (hn.time - h0.time) / (n_live - 1) in
         let w = 3 * avg in
@@ -159,6 +171,9 @@ module Iq = struct
     done;
     t.memo_bucket >= 0
 
+  (* Bucket k of the lap owns the window ending at [lap_top + k * width];
+     a head inside its window is the global minimum, since every other
+     live entry's first admissible window lies above it. *)
   let rec scan_lap t start lap_top k =
     if k > t.mask then direct_min t
     else begin
@@ -240,36 +255,17 @@ module Iq = struct
       t.buckets
 end
 
-type backend = [ `Binary_heap | `Calendar ]
+type backend = [ `Calendar ]
 
-(* Two interchangeable event queues ordered by (time, seq):
-
-   - [Heap]: a binary min-heap; cancelled entries are skipped on pop,
-     which keeps cancel O(1).
-   - [Cal]: a bucketed calendar queue ({!Iq}, the intrusive twin of
-     {!Calendar}), O(1) expected
-     enqueue/dequeue for the quasi-periodic populations simulations
-     produce; the compiled engine's default.
-
-   Both dequeue in the identical (time, seq) total order, so a
-   simulation's trace does not depend on the backend (the differential
-   suite checks this).
-
-   The clock and every queue key are native ints: the public [int64]
+(* The clock and every queue key are native ints: the public [int64]
    entry points convert once at the boundary, and the [_ns] variants
    let the runtime's hot path skip the boxing altogether. *)
-type queue =
-  | Heap of heap
-  | Cal of Iq.cal
-
-and heap = { mutable arr : handle array; mutable size : int }
-
 type t = {
-  queue : queue;
+  queue : Iq.cal;
   mutable clock : int;
   mutable next_seq : int;
-  mutable cal_dead_seen : int;
-      (** calendar drop count already forwarded to [m_dead_dropped] *)
+  mutable dead_seen : int;
+      (** queue drop count already forwarded to [m_dead_dropped] *)
   (* Pre-resolved metric handles, updated only when [obs_on]; with a
      null scope every hook costs one branch on this boolean. *)
   obs_on : bool;
@@ -280,17 +276,14 @@ type t = {
   m_clock_advance : Obs.Metrics.histogram;
 }
 
-let create ?(backend = `Binary_heap) ?obs () =
+let create ?backend:(_ : backend option) ?obs () =
   let scope = match obs with Some s -> s | None -> Obs.Scope.null () in
   let metrics = Obs.Scope.metrics scope in
   {
-    queue =
-      (match backend with
-      | `Binary_heap -> Heap { arr = Array.make 64 dummy; size = 0 }
-      | `Calendar -> Cal (Iq.create ()));
+    queue = Iq.create ();
     clock = 0;
     next_seq = 0;
-    cal_dead_seen = 0;
+    dead_seen = 0;
     obs_on = Obs.Scope.live scope;
     m_fired = Obs.Metrics.counter metrics "sim.engine.events_fired";
     m_scheduled = Obs.Metrics.counter metrics "sim.engine.events_scheduled";
@@ -302,105 +295,32 @@ let create ?(backend = `Binary_heap) ?obs () =
 let now_ns t = t.clock
 let now t = Int64.of_int t.clock
 
-let before a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)
-
-let swap h i j =
-  let tmp = h.arr.(i) in
-  h.arr.(i) <- h.arr.(j);
-  h.arr.(j) <- tmp
-
-let rec sift_up h i =
-  if i > 0 then begin
-    let parent = (i - 1) / 2 in
-    if before h.arr.(i) h.arr.(parent) then begin
-      swap h i parent;
-      sift_up h parent
-    end
-  end
-
-let rec sift_down h i =
-  let left = (2 * i) + 1 and right = (2 * i) + 2 in
-  let smallest = ref i in
-  if left < h.size && before h.arr.(left) h.arr.(!smallest) then smallest := left;
-  if right < h.size && before h.arr.(right) h.arr.(!smallest) then
-    smallest := right;
-  if !smallest <> i then begin
-    swap h i !smallest;
-    sift_down h !smallest
-  end
-
-let heap_push h handle =
-  if h.size = Array.length h.arr then begin
-    let bigger = Array.make (2 * h.size) dummy in
-    Array.blit h.arr 0 bigger 0 h.size;
-    h.arr <- bigger
-  end;
-  h.arr.(h.size) <- handle;
-  h.size <- h.size + 1;
-  sift_up h (h.size - 1)
-
-let remove_root h =
-  h.size <- h.size - 1;
-  h.arr.(0) <- h.arr.(h.size);
-  h.arr.(h.size) <- dummy;
-  if h.size > 0 then sift_down h 0
-
-(* Drop cancelled entries lazily so pop and peek both see a live head. *)
-let rec drop_dead t h =
-  if h.size > 0 && not h.arr.(0).live then begin
-    remove_root h;
-    if t.obs_on then Obs.Metrics.inc t.m_dead_dropped;
-    drop_dead t h
-  end
-
-(* Forward the calendar's internal drop count to the kernel metric. *)
-let sync_cal_dead t cal =
+(* Forward the queue's internal drop count to the kernel metric. *)
+let sync_dead t =
   if t.obs_on then begin
-    let total = Iq.dead_dropped cal in
-    if total > t.cal_dead_seen then begin
-      Obs.Metrics.inc ~by:(total - t.cal_dead_seen) t.m_dead_dropped;
-      t.cal_dead_seen <- total
+    let total = Iq.dead_dropped t.queue in
+    if total > t.dead_seen then begin
+      Obs.Metrics.inc ~by:(total - t.dead_seen) t.m_dead_dropped;
+      t.dead_seen <- total
     end
   end
 
 let push t handle =
-  (match t.queue with
-  | Heap h -> heap_push h handle
-  | Cal cal -> Iq.add cal handle);
-  if t.obs_on then
-    Obs.Metrics.set_peak t.m_heap_peak
-      (match t.queue with Heap h -> h.size | Cal cal -> Iq.length cal)
+  Iq.add t.queue handle;
+  if t.obs_on then Obs.Metrics.set_peak t.m_heap_peak (Iq.length t.queue)
 
 (* [dummy] doubles as the empty sentinel so the run loop never boxes an
    option per fired event; [dummy] is never scheduled, so a physical
    equality check is unambiguous. *)
 let pop_or_dummy t =
-  match t.queue with
-  | Heap h ->
-    drop_dead t h;
-    if h.size = 0 then dummy
-    else begin
-      let top = h.arr.(0) in
-      remove_root h;
-      top
-    end
-  | Cal cal ->
-    let popped = Iq.pop_or_dummy cal in
-    sync_cal_dead t cal;
-    popped
+  let popped = Iq.pop_or_dummy t.queue in
+  sync_dead t;
+  popped
 
 let peek_or_dummy t =
-  match t.queue with
-  | Heap h ->
-    drop_dead t h;
-    if h.size = 0 then dummy else h.arr.(0)
-  | Cal cal ->
-    let head = Iq.peek_or_dummy cal in
-    sync_cal_dead t cal;
-    head
-
-let queue_size t =
-  match t.queue with Heap h -> h.size | Cal cal -> Iq.length cal
+  let head = Iq.peek_or_dummy t.queue in
+  sync_dead t;
+  head
 
 let schedule_at_ns t ~time callback =
   if time < t.clock then
@@ -425,30 +345,28 @@ let cancel handle =
   if handle.live then handle.live <- false
 
 (* Semantically [cancel handle; schedule_ns t ~delay callback] — the
-   re-arm pattern of a state machine's After timer.  On the calendar
-   backend, when [handle] is the caller's own previous arming of the
-   same [callback], the handle is unlinked and re-keyed in place: no
-   allocation and no dead entry left to churn through bucket chains.
-   The fresh seq is drawn exactly where the eager path would draw it,
-   so every (time, seq) tie across backends orders identically. *)
+   re-arm pattern of a state machine's After timer.  When [handle] is
+   the caller's own previous arming of the same [callback], the handle
+   is unlinked and re-keyed in place: no allocation and no dead entry
+   left to churn through bucket chains.  The fresh seq is drawn exactly
+   where the eager path would draw it, so every (time, seq) tie orders
+   as if the timer had been cancelled and scheduled anew. *)
 let rearm_ns t handle ~delay callback =
   if delay < 0 then invalid_arg "Sim.Engine.schedule: negative delay";
-  match t.queue with
-  | Cal cal when handle != dummy && handle.callback == callback ->
-    Iq.remove cal handle;
+  if handle != dummy && handle.callback == callback then begin
+    Iq.remove t.queue handle;
     handle.time <- t.clock + delay;
     handle.seq <- t.next_seq;
     t.next_seq <- t.next_seq + 1;
     handle.live <- true;
-    Iq.add cal handle;
-    if t.obs_on then begin
-      Obs.Metrics.inc t.m_scheduled;
-      Obs.Metrics.set_peak t.m_heap_peak (Iq.length cal)
-    end;
+    push t handle;
+    if t.obs_on then Obs.Metrics.inc t.m_scheduled;
     handle
-  | Cal _ | Heap _ ->
+  end
+  else begin
     cancel handle;
     schedule_ns t ~delay callback
+  end
 
 let cancelled handle = not handle.live
 
@@ -487,16 +405,11 @@ let run ?until t =
     else fired
   in
   let fired = loop 0 in
-  if limit < max_int && t.clock < limit && queue_size t = 0 then
+  if limit < max_int && t.clock < limit && Iq.length t.queue = 0 then
     t.clock <- limit;
   fired
 
 let pending t =
   let count = ref 0 in
-  (match t.queue with
-  | Heap h ->
-    for i = 0 to h.size - 1 do
-      if h.arr.(i).live then incr count
-    done
-  | Cal cal -> Iq.iter cal (fun h -> if h.live then incr count));
+  Iq.iter t.queue (fun h -> if h.live then incr count);
   !count

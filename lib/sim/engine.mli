@@ -2,26 +2,26 @@
 
     Time is in integer nanoseconds.  Events scheduled for the same time
     fire in scheduling order (a monotone sequence number breaks ties), so
-    simulations are fully deterministic. *)
+    simulations are fully deterministic.
+
+    The event queue is a bucketed calendar queue (Brown 1988) whose
+    handles are their own bucket cells: O(1) expected schedule and pop
+    on the quasi-periodic event populations simulations produce, lazy
+    cancellation, and no allocation per event beyond the handle. *)
 
 type t
 
 type handle
 (** A scheduled event; may be cancelled before it fires. *)
 
-type backend = [ `Binary_heap | `Calendar ]
-(** Event-queue implementation.  Both dequeue in the identical
-    [(time, seq)] total order, so the choice never changes a
-    simulation's trace — [`Calendar] ({!Calendar}) has O(1) expected
-    operations on the quasi-periodic event populations simulations
-    produce and is what the compiled engine uses; [`Binary_heap] is the
-    reference. *)
+type backend = [ `Calendar ]
+(** The event-queue implementation; the calendar queue is the only
+    one.  Kept so existing [~backend:`Calendar] callers compile. *)
 
 val create : ?backend:backend -> ?obs:Obs.Scope.t -> unit -> t
-(** [backend] defaults to [`Binary_heap].  [obs] receives kernel
-    metrics (events scheduled/fired, queue high-water mark,
-    cancelled-entry churn, clock-advance distribution); defaults to a
-    no-op scope. *)
+(** [obs] receives kernel metrics (events scheduled/fired, queue
+    high-water mark, cancelled-entry churn, clock-advance
+    distribution); defaults to a no-op scope. *)
 
 val now : t -> int64
 
@@ -49,9 +49,9 @@ val cancelled : handle -> bool
 val rearm_ns : t -> handle -> delay:int -> (unit -> unit) -> handle
 (** [rearm_ns t h ~delay f] is semantically [cancel h; schedule_ns t
     ~delay f], returning the armed handle.  When [h] is a previous
-    arming of the same (physically equal) callback, backends may re-key
-    [h] in place instead of allocating — the repeated re-arm pattern of
-    an EFSM After timer costs nothing in steady state.  Ordering is
+    arming of the same (physically equal) callback, [h] is re-keyed in
+    place instead of allocating — the repeated re-arm pattern of an
+    EFSM After timer costs nothing in steady state.  Ordering is
     identical to the eager cancel-and-schedule path. *)
 
 val never : handle

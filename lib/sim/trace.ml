@@ -26,7 +26,7 @@ type event =
       dur : int64;
     }
 
-type backend = Arena | List
+type backend = Arena
 
 (* Event kinds, one per log-line letter.  The arena is a struct-of-
    arrays: one int column per field slot, a byte per kind, string
@@ -42,9 +42,7 @@ let k_retransmit = 5
 let k_flow = 6
 
 type t = {
-  backend : backend;
-  (* String interning, shared by both backends so ids handed out by
-     [intern] stay valid whichever store is active. *)
+  (* String interning: ids handed out by [intern] index [strs]. *)
   tbl : (string, int) Hashtbl.t;
   mutable strs : string array;
   mutable nstrs : int;
@@ -61,17 +59,11 @@ type t = {
   (* Rare int64 values outside the native-int range keep full fidelity
      here, keyed by event index; checked only when non-empty. *)
   overflow : (int, event) Hashtbl.t;
-  (* Legacy list backend. *)
-  mutable events_rev : event list;
-  mutable list_len : int;
 }
 
-let initial_capacity = 256
-
-let create ?(backend = Arena) () =
-  let cap = match backend with Arena -> initial_capacity | List -> 0 in
+let create ?backend:(_ : backend option) () =
+  let cap = 256 in
   {
-    backend;
     tbl = Hashtbl.create 64;
     strs = Array.make 64 "";
     nstrs = 0;
@@ -84,11 +76,7 @@ let create ?(backend = Arena) () =
     f3 = Array.make cap 0;
     f4 = Array.make cap 0;
     overflow = Hashtbl.create 1;
-    events_rev = [];
-    list_len = 0;
   }
-
-let backend t = t.backend
 
 let intern t s =
   match Hashtbl.find t.tbl s with
@@ -109,7 +97,7 @@ let interned t id = t.strs.(id)
 
 let grow t =
   let cap = Array.length t.time in
-  let cap' = if cap = 0 then initial_capacity else 2 * cap in
+  let cap' = 2 * cap in
   let extend a =
     let a' = Array.make cap' 0 in
     Array.blit a 0 a' 0 cap;
@@ -139,7 +127,7 @@ let[@inline] push t k time f0 f1 f2 f3 f4 =
 
 let fits x = Int64.equal (Int64.of_int (Int64.to_int x)) x
 
-let record_arena t event =
+let record t event =
   let i = t.n in
   (match event with
   | Exec { time; process; cycles } ->
@@ -171,104 +159,31 @@ let record_arena t event =
       (Int64.to_int dur) 0;
     if not (fits time && fits dur) then Hashtbl.replace t.overflow i event)
 
-let record t event =
-  match t.backend with
-  | Arena -> record_arena t event
-  | List ->
-    t.events_rev <- event :: t.events_rev;
-    t.list_len <- t.list_len + 1
-
 (* Unboxed hot-path appenders: times and durations are plain int ns,
-   strings are pre-interned ids.  On the legacy backend they rebuild
-   the variant so both backends observe the same stream. *)
+   strings are pre-interned ids. *)
 
-let record_exec t ~time ~process ~cycles =
-  match t.backend with
-  | Arena -> push t k_exec time process cycles 0 0 0
-  | List ->
-    record t
-      (Exec
-         {
-           time = Int64.of_int time;
-           process = interned t process;
-           cycles = Int64.of_int cycles;
-         })
+let record_exec t ~time ~process ~cycles = push t k_exec time process cycles 0 0 0
 
 let record_signal t ~time ~sender ~receiver ~signal ~words ~tag =
-  match t.backend with
-  | Arena -> push t k_signal time sender receiver signal words tag
-  | List ->
-    record t
-      (Signal
-         {
-           time = Int64.of_int time;
-           sender = interned t sender;
-           receiver = interned t receiver;
-           signal = interned t signal;
-           words;
-           tag;
-         })
+  push t k_signal time sender receiver signal words tag
 
 let record_state_change t ~time ~process ~from_ ~to_ =
-  match t.backend with
-  | Arena -> push t k_state time process from_ to_ 0 0
-  | List ->
-    record t
-      (State_change
-         {
-           time = Int64.of_int time;
-           process = interned t process;
-           from_ = interned t from_;
-           to_ = interned t to_;
-         })
+  push t k_state time process from_ to_ 0 0
 
 let record_discard t ~time ~process ~signal =
-  match t.backend with
-  | Arena -> push t k_discard time process signal 0 0 0
-  | List ->
-    record t
-      (Discard
-         {
-           time = Int64.of_int time;
-           process = interned t process;
-           signal = interned t signal;
-         })
+  push t k_discard time process signal 0 0 0
 
 let record_retransmit t ~time ~sender ~receiver ~signal ~attempt =
-  match t.backend with
-  | Arena -> push t k_retransmit time sender receiver signal attempt 0
-  | List ->
-    record t
-      (Retransmit
-         {
-           time = Int64.of_int time;
-           sender = interned t sender;
-           receiver = interned t receiver;
-           signal = interned t signal;
-           attempt;
-         })
+  push t k_retransmit time sender receiver signal attempt 0
 
 let record_flow_hop t ~time ~flow ~stage ~where_ ~dur =
-  match t.backend with
-  | Arena -> push t k_flow time flow stage where_ dur 0
-  | List ->
-    record t
-      (Flow_hop
-         {
-           time = Int64.of_int time;
-           flow;
-           stage = interned t stage;
-           where_ = interned t where_;
-           dur = Int64.of_int dur;
-         })
+  push t k_flow time flow stage where_ dur 0
 
-let length t = match t.backend with Arena -> t.n | List -> t.list_len
+let length t = t.n
 
 let clear t =
   t.n <- 0;
-  Hashtbl.reset t.overflow;
-  t.events_rev <- [];
-  t.list_len <- 0
+  Hashtbl.reset t.overflow
 
 (* Decoding an arena row back into the [event] view. *)
 let decode_cols t i =
@@ -299,7 +214,7 @@ let decode_cols t i =
   | _ ->
     Flow_hop { time; flow = f0; stage = s f1; where_ = s f2; dur = Int64.of_int f3 }
 
-let get_arena t i =
+let decode t i =
   if Hashtbl.length t.overflow = 0 then decode_cols t i
   else
     match Hashtbl.find_opt t.overflow i with
@@ -307,43 +222,29 @@ let get_arena t i =
     | None -> decode_cols t i
 
 let iter t f =
-  match t.backend with
-  | Arena ->
-    for i = 0 to t.n - 1 do
-      f (get_arena t i)
-    done
-  | List -> List.iter f (List.rev t.events_rev)
+  for i = 0 to t.n - 1 do
+    f (decode t i)
+  done
 
 let fold t init f =
-  match t.backend with
-  | Arena ->
-    let acc = ref init in
-    for i = 0 to t.n - 1 do
-      acc := f !acc (get_arena t i)
-    done;
-    !acc
-  | List -> List.fold_left f init (List.rev t.events_rev)
+  let acc = ref init in
+  for i = 0 to t.n - 1 do
+    acc := f !acc (decode t i)
+  done;
+  !acc
 
-let events t =
-  match t.backend with
-  | Arena -> List.init t.n (fun i -> get_arena t i)
-  | List -> List.rev t.events_rev
+let events t = List.init t.n (fun i -> decode t i)
 
 let get t i =
-  match t.backend with
-  | Arena ->
-    if i < 0 || i >= t.n then invalid_arg "Sim.Trace.get";
-    get_arena t i
-  | List ->
-    if i < 0 || i >= t.list_len then invalid_arg "Sim.Trace.get";
-    List.nth (List.rev t.events_rev) i
+  if i < 0 || i >= t.n then invalid_arg "Sim.Trace.get";
+  decode t i
 
-(* The aggregations below have two implementations: a column scan over
-   the arena (no per-event decode, accumulators indexed by interned id)
-   and a generic [iter]-based fallback used by the list backend and by
-   arenas holding out-of-range int64 rows (the overflow table keeps the
-   exact values, so the generic path must decode).  Both orders of
-   summation are over ints, so the results are identical. *)
+(* The aggregations below have two implementations: a column scan (no
+   per-event decode, accumulators indexed by interned id) and a generic
+   [iter]-based fallback for traces holding out-of-range int64 rows (the
+   overflow table keeps the exact values, so the generic path must
+   decode).  Both orders of summation are over ints, so the results are
+   identical. *)
 
 let total_cycles_generic t =
   let table = Hashtbl.create 16 in
@@ -360,8 +261,8 @@ let total_cycles_generic t =
   |> List.sort compare
 
 let total_cycles t =
-  match t.backend with
-  | Arena when Hashtbl.length t.overflow = 0 ->
+  if Hashtbl.length t.overflow > 0 then total_cycles_generic t
+  else begin
     let cycles = Array.make (max 1 t.nstrs) 0 in
     let seen = Array.make (max 1 t.nstrs) false in
     for i = 0 to t.n - 1 do
@@ -377,7 +278,7 @@ let total_cycles t =
         acc := (t.strs.(id), Int64.of_int cycles.(id)) :: !acc
     done;
     List.sort compare !acc
-  | Arena | List -> total_cycles_generic t
+  end
 
 let signal_counts_generic t =
   let table = Hashtbl.create 16 in
@@ -393,8 +294,8 @@ let signal_counts_generic t =
   |> List.sort compare
 
 let signal_counts t =
-  match t.backend with
-  | Arena when Hashtbl.length t.overflow = 0 ->
+  if Hashtbl.length t.overflow > 0 then signal_counts_generic t
+  else begin
     (* (sender, receiver) packs into one immediate int key; [nstrs] is
        fixed during the scan (no interning happens here) *)
     let m = max 1 t.nstrs in
@@ -411,11 +312,23 @@ let signal_counts t =
       (fun key r acc -> ((t.strs.(key / m), t.strs.(key mod m)), !r) :: acc)
       table []
     |> List.sort compare
-  | Arena | List -> signal_counts_generic t
+  end
+
+let discard_counts_generic t =
+  let table = Hashtbl.create 8 in
+  iter t (fun event ->
+      match event with
+      | Discard { process; _ } ->
+        let current = Option.value ~default:0 (Hashtbl.find_opt table process) in
+        Hashtbl.replace table process (current + 1)
+      | Exec _ | Signal _ | State_change _ | Fault _ | Retransmit _
+      | Flow_hop _ -> ());
+  Hashtbl.fold (fun p c acc -> (p, c) :: acc) table []
+  |> List.sort compare
 
 let discard_counts t =
-  match t.backend with
-  | Arena when Hashtbl.length t.overflow = 0 ->
+  if Hashtbl.length t.overflow > 0 then discard_counts_generic t
+  else begin
     let counts = Array.make (max 1 t.nstrs) 0 in
     for i = 0 to t.n - 1 do
       if Bytes.unsafe_get t.kind i = '\003' (* k_discard *) then begin
@@ -428,23 +341,8 @@ let discard_counts t =
       if counts.(id) > 0 then acc := (t.strs.(id), counts.(id)) :: !acc
     done;
     List.sort compare !acc
-  | Arena | List ->
-    let table = Hashtbl.create 8 in
-    iter t (fun event ->
-        match event with
-        | Discard { process; _ } ->
-          let current =
-            Option.value ~default:0 (Hashtbl.find_opt table process)
-          in
-          Hashtbl.replace table process (current + 1)
-        | Exec _ | Signal _ | State_change _ | Fault _ | Retransmit _
-        | Flow_hop _ -> ());
-    Hashtbl.fold (fun p c acc -> (p, c) :: acc) table []
-    |> List.sort compare
+  end
 
-(* Rendering goes through this single function for every backend, so
-   byte-identical log lines are a property of the renderer, not of the
-   store: arena and list traces of the same event stream cannot drift. *)
 let event_to_line = function
   | Exec { time; process; cycles } ->
     Printf.sprintf "E %Ld %s %Ld" time process cycles
@@ -517,8 +415,8 @@ let to_lines t =
   iter t (fun event -> acc := event_to_line event :: !acc);
   List.rev !acc
 
-let of_lines ?backend lines =
-  let t = create ?backend () in
+let of_lines lines =
+  let t = create () in
   (* [n] counts every physical line, blank or not, so the reported
      number matches the 1-based position in the file — including the
      last line of a file with no trailing newline, which arrives here
@@ -544,7 +442,7 @@ let save t path =
           output_string oc (event_to_line event);
           output_char oc '\n'))
 
-let load ?backend path =
+let load path =
   match open_in path with
   | exception Sys_error e -> Error e
   | ic ->
@@ -556,4 +454,4 @@ let load ?backend path =
           | line -> read (line :: acc)
           | exception End_of_file -> List.rev acc
         in
-        of_lines ?backend (read []))
+        of_lines (read []))

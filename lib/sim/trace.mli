@@ -59,27 +59,22 @@ type event =
     }
 
 type t
+(** An arena: struct-of-arrays int columns plus a string-interning
+    table.  Recording is an (amortised) allocation-free append of
+    interned ids; the textual lines are rendered lazily at {!save} /
+    {!to_lines} time. *)
 
-type backend =
-  | Arena
-      (** Struct-of-arrays store: int columns plus a string-interning
-          table.  [record] is an (amortised) allocation-free append of
-          interned ids; the textual lines are rendered lazily at
-          {!save} / {!to_lines} time.  The default. *)
-  | List  (** Legacy store: one heap-allocated {!event} per record. *)
+type backend = Arena
+(** The store implementation; the arena is the only one.  Kept so
+    existing [~backend] callers compile. *)
 
 val create : ?backend:backend -> unit -> t
-(** [backend] defaults to {!Arena}.  Both backends render byte-identical
-    log lines for the same event stream (they share the renderer). *)
-
-val backend : t -> backend
 
 val record : t -> event -> unit
 
 val intern : t -> string -> int
 (** Intern a string in the trace's table, returning its id.  Ids are
-    stable for the lifetime of the trace ({!clear} keeps the table) and
-    valid on either backend. *)
+    stable for the lifetime of the trace ({!clear} keeps the table). *)
 
 val interned : t -> int -> string
 (** The string behind an id handed out by {!intern}. *)
@@ -122,9 +117,8 @@ val fold : t -> 'a -> ('a -> event -> 'a) -> 'a
 (** [fold t init f] folds [f] over the events in recording order. *)
 
 val get : t -> int -> event
-(** [get t i] is the [i]th recorded event (0-based).  O(1) on the
-    {!Arena} backend, O(n) on {!List}.  Raises [Invalid_argument] when
-    out of range. *)
+(** [get t i] is the [i]th recorded event (0-based), in O(1).  Raises
+    [Invalid_argument] when out of range. *)
 
 val length : t -> int
 val clear : t -> unit
@@ -138,15 +132,15 @@ val signal_counts : t -> ((string * string) * int) list
 
 val discard_counts : t -> (string * int) list
 (** Discarded-signal counts per process, sorted by process name.  Like
-    {!total_cycles} / {!signal_counts}, a column scan on the {!Arena}
-    backend — no per-event decoding. *)
+    {!total_cycles} / {!signal_counts}, a column scan — no per-event
+    decoding. *)
 
 val event_to_line : event -> string
 val event_of_line : string -> (event, string) result
 
 val to_lines : t -> string list
 
-val of_lines : ?backend:backend -> string list -> (t, string) result
+val of_lines : string list -> (t, string) result
 (** Blank lines are skipped; the first malformed line aborts parsing
     with an error of the form ["line N: <reason>"] (1-based, counting
     blank lines).  The numbering covers every physical line handed in —
@@ -156,4 +150,4 @@ val of_lines : ?backend:backend -> string list -> (t, string) result
 val save : t -> string -> unit
 (** Write the log file. *)
 
-val load : ?backend:backend -> string -> (t, string) result
+val load : string -> (t, string) result

@@ -25,11 +25,7 @@ let default =
     faults = Fault.Plan.empty;
     fault_seed = 1;
     remap_jobs = 1;
-    (* compiled is the default; traces are bit-identical to Reference
-       (differential suite + CI engine matrix), only faster *)
     engine = Codegen.Runtime.Compiled;
-    (* same story for the trace store: Arena renders byte-identically to
-       List (shared renderer + QCheck equality property), only cheaper *)
     trace_backend = Sim.Trace.Arena;
   }
 
@@ -122,7 +118,7 @@ let run_builder ?(via_xmi = false) ?obs ?flows config builder =
         else
           Some (Fault.Injector.create ~plan:config.faults ~seed:config.fault_seed)
       in
-      let trace = Sim.Trace.create ~backend:config.trace_backend () in
+      let trace = Sim.Trace.create () in
       match
         Codegen.Runtime.create ~trace ?faults:injector ?obs ?flows
           ~engine:config.engine sys

@@ -19,11 +19,11 @@ type config = {
       (** Worker domains for the degradation re-mapping search (default
           1; results are identical for any value). *)
   engine : Codegen.Runtime.engine_kind;
-      (** EFSM execution engine (default [Compiled]; traces are
-          bit-identical to [Reference], only faster). *)
+      (** EFSM execution engine (default [Compiled]).  [Reference] runs
+          the {!Efsm.Interp} oracle the differential tests compare
+          against; traces are bit-identical. *)
   trace_backend : Sim.Trace.backend;
-      (** Event-log store (default [Arena]; renders byte-identical log
-          lines to [List], only without per-event heap boxing). *)
+      (** Event-log store; [Arena] is the only one. *)
 }
 
 val default : config

@@ -25,8 +25,8 @@
    jitter, backoff) or a per-(spec, terminal) stream inside
    [Fault.Injector] (channel faults), and every event is scheduled from
    a deterministic closure, so a [(plan, seed)] pair replays
-   bit-identically across engines, trace backends, repeated runs and
-   any aggregation [jobs] count. *)
+   bit-identically across engines, repeated runs and any aggregation
+   [jobs] count. *)
 
 type churn_action = Leave | Rejoin
 
@@ -46,7 +46,6 @@ type config = {
   fault_seed : int;
   jobs : int;
   engine : Codegen.Runtime.engine_kind;
-  trace_backend : Sim.Trace.backend;
 }
 
 let default =
@@ -64,7 +63,6 @@ let default =
     fault_seed = 1;
     jobs = 1;
     engine = Codegen.Runtime.Compiled;
-    trace_backend = Sim.Trace.Arena;
   }
 
 (* ---- churn specs --------------------------------------------------- *)
@@ -421,13 +419,8 @@ let run ?(obs = Obs.Scope.null ()) config =
   validate config;
   let n = config.terminals in
   let slot = config.slot_ns in
-  let trace = Sim.Trace.create ~backend:config.trace_backend () in
-  let sim_backend =
-    match config.engine with
-    | Codegen.Runtime.Reference -> `Binary_heap
-    | Codegen.Runtime.Compiled -> `Calendar
-  in
-  let engine = Sim.Engine.create ~backend:sim_backend ~obs () in
+  let trace = Sim.Trace.create () in
+  let engine = Sim.Engine.create ~obs () in
   let metrics = Obs.Scope.metrics obs in
   let m_offered = Obs.Metrics.counter metrics "wlan.offered"
   and m_delivered = Obs.Metrics.counter metrics "wlan.delivered"
@@ -963,10 +956,6 @@ let engine_name = function
   | Codegen.Runtime.Reference -> "reference"
   | Codegen.Runtime.Compiled -> "compiled"
 
-let backend_name = function
-  | Sim.Trace.Arena -> "arena"
-  | Sim.Trace.List -> "list"
-
 let render r =
   let buf = Buffer.create 4096 in
   let line fmt =
@@ -979,9 +968,9 @@ let render r =
   let c = r.r_config in
   line "TUTWLAN fleet report";
   line "====================";
-  (* Engine and trace backend are deliberately absent: the rendered
-     report is byte-identical across all of them, and the CI golden
-     diff relies on that. *)
+  (* The engine is deliberately absent: the rendered report is
+     byte-identical across engines, and the CI golden diff relies on
+     that. *)
   line "terminals %d  duration %.3f s  slot %d us  seed %d" c.terminals
     (float_of_int c.duration_ns /. 1e9)
     (c.slot_ns / 1000) c.seed;
@@ -1068,7 +1057,6 @@ let render_json r =
             ("cw_min", Obs.Json.Int c.cw_min);
             ("cw_max", Obs.Json.Int c.cw_max);
             ("engine", Obs.Json.Str (engine_name c.engine));
-            ("trace_backend", Obs.Json.Str (backend_name c.trace_backend));
           ] );
       ("events", Obs.Json.Int r.events);
       ("offered", Obs.Json.Int r.offered);

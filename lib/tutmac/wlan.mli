@@ -7,8 +7,8 @@
     applies the fault plan's channel injectors ([chan_loss],
     [chan_burst], [term_crash]) per terminal.  Strict [(time, seq)]
     scheduling plus per-terminal PRNG streams keep any [(plan, seed)]
-    configuration bit-identical across engines, trace backends,
-    repeated runs and aggregation job counts. *)
+    configuration bit-identical across engines, repeated runs and
+    aggregation job counts. *)
 
 type churn_action = Leave | Rejoin
 
@@ -28,12 +28,14 @@ type config = {
   fault_seed : int;
   jobs : int;  (** domains for metric aggregation (result-invariant) *)
   engine : Codegen.Runtime.engine_kind;
-  trace_backend : Sim.Trace.backend;
+      (** [Compiled] in production; [Reference] runs the MACs on
+          {!Efsm.Interp}, the oracle the engine-parity tests compare
+          against *)
 }
 
 val default : config
 (** 8 terminals, 2 s, 50 us slots, default mix, BEB 2..64 with 6
-    retries, no churn, no faults, compiled engine, arena trace. *)
+    retries, no churn, no faults, compiled engine. *)
 
 val churn_of_string : string -> (churn_event list, string) result
 (** Parse a CLI churn script: comma-separated

@@ -278,44 +278,76 @@ let gen_event =
          return (Sim.Trace.Flow_hop { time; flow; stage; where_; dur }));
       ])
 
+(* [gen_event] spans all seven kinds and the renderer's edge cases:
+   untagged signals (tag -1), "-" fault info, zero-duration flow hops.
+   The arena must decode and render exactly the plain event list it was
+   fed. *)
 let prop_trace_roundtrip =
   QCheck.Test.make ~name:"trace lines round-trip" ~count:300
     (QCheck.make
-       QCheck.Gen.(list_size (int_range 0 30) gen_event))
+       QCheck.Gen.(list_size (int_range 0 40) gen_event))
     (fun events ->
       let t = Sim.Trace.create () in
       List.iter (Sim.Trace.record t) events;
+      Sim.Trace.events t = events
+      && Sim.Trace.to_lines t = List.map Sim.Trace.event_to_line events
+      &&
       match Sim.Trace.of_lines (Sim.Trace.to_lines t) with
       | Ok t' -> Sim.Trace.events t' = events
       | Error e -> QCheck.Test.fail_reportf "%s" e)
 
-(* Property: the arena and list backends render byte-identical log
-   lines for any event stream.  [gen_event] spans all seven kinds and
-   the renderer's edge cases: untagged signals (tag -1), "-" fault info,
-   zero-duration flow hops. *)
-let prop_arena_list_render_equal =
-  QCheck.Test.make ~name:"arena and list backends render identically"
-    ~count:300
-    (QCheck.make QCheck.Gen.(list_size (int_range 0 40) gen_event))
-    (fun events ->
-      let arena = Sim.Trace.create ~backend:Sim.Trace.Arena () in
-      let list = Sim.Trace.create ~backend:Sim.Trace.List () in
-      List.iter (Sim.Trace.record arena) events;
-      List.iter (Sim.Trace.record list) events;
-      Sim.Trace.to_lines arena = Sim.Trace.to_lines list
-      && Sim.Trace.events arena = Sim.Trace.events list)
+(* Reference aggregation over a plain event list. *)
+let tally add zero key events =
+  let table = Hashtbl.create 16 in
+  List.iter
+    (fun e ->
+      match key e with
+      | Some (k, n) ->
+        let current = Option.value ~default:zero (Hashtbl.find_opt table k) in
+        Hashtbl.replace table k (add current n)
+      | None -> ())
+    events;
+  List.sort compare (Hashtbl.fold (fun k n acc -> (k, n) :: acc) table [])
 
 (* Interning torture: thousands of distinct names force the intern
    table and string store through several growth doublings (and plenty
    of hash-bucket collisions); out-of-range int64 payloads exercise the
-   overflow side table.  The arena must keep rendering, aggregating and
-   re-interning exactly like the list store. *)
+   overflow side table.  The arena must keep rendering and re-interning
+   exactly like the plain event list it was fed, and aggregate like it
+   on both the column-scan path and the overflow (decoding) path. *)
 let test_trace_intern_torture () =
-  let arena = Sim.Trace.create ~backend:Sim.Trace.Arena () in
-  let list = Sim.Trace.create ~backend:Sim.Trace.List () in
+  let arena = Sim.Trace.create () in
+  let model = ref [] in
   let record e =
     Sim.Trace.record arena e;
-    Sim.Trace.record list e
+    model := e :: !model
+  in
+  let agree what =
+    let events = List.rev !model in
+    check int_t (what ^ ": same length") (List.length events)
+      (Sim.Trace.length arena);
+    if Sim.Trace.to_lines arena <> List.map Sim.Trace.event_to_line events then
+      Alcotest.failf "%s: render diverged after interning growth" what;
+    let cycles =
+      tally Int64.add 0L
+        (function
+          | Sim.Trace.Exec { process; cycles; _ } -> Some (process, cycles)
+          | _ -> None)
+    and signals =
+      tally ( + ) 0 (function
+        | Sim.Trace.Signal { sender; receiver; _ } -> Some ((sender, receiver), 1)
+        | _ -> None)
+    and discards =
+      tally ( + ) 0 (function
+        | Sim.Trace.Discard { process; _ } -> Some (process, 1)
+        | _ -> None)
+    in
+    if Sim.Trace.total_cycles arena <> cycles events then
+      Alcotest.failf "%s: total_cycles diverged" what;
+    if Sim.Trace.signal_counts arena <> signals events then
+      Alcotest.failf "%s: signal_counts diverged" what;
+    if Sim.Trace.discard_counts arena <> discards events then
+      Alcotest.failf "%s: discard_counts diverged" what
   in
   for i = 0 to 4999 do
     let p = Printf.sprintf "proc_%d" (i mod 3000) in
@@ -337,6 +369,7 @@ let test_trace_intern_torture () =
     if i mod 7 = 0 then
       record (Sim.Trace.Discard { time = Int64.of_int i; process = q; signal = "s" })
   done;
+  agree "column scan";
   (* out-of-range rows land in the overflow table and force every
      aggregation onto the generic decode path *)
   record
@@ -350,15 +383,7 @@ let test_trace_intern_torture () =
          where_ = "proc_1";
          dur = Int64.max_int;
        });
-  check int_t "same length" (Sim.Trace.length list) (Sim.Trace.length arena);
-  if Sim.Trace.to_lines arena <> Sim.Trace.to_lines list then
-    Alcotest.fail "render diverged after interning growth";
-  if Sim.Trace.total_cycles arena <> Sim.Trace.total_cycles list then
-    Alcotest.fail "total_cycles diverged";
-  if Sim.Trace.signal_counts arena <> Sim.Trace.signal_counts list then
-    Alcotest.fail "signal_counts diverged";
-  if Sim.Trace.discard_counts arena <> Sim.Trace.discard_counts list then
-    Alcotest.fail "discard_counts diverged";
+  agree "overflow";
   (* re-interning an already-known name is stable *)
   check int_t "intern is idempotent"
     (Sim.Trace.intern arena "proc_42")
@@ -487,7 +512,6 @@ let () =
           Alcotest.test_case "interning torture" `Quick
             test_trace_intern_torture;
           QCheck_alcotest.to_alcotest prop_trace_roundtrip;
-          QCheck_alcotest.to_alcotest prop_arena_list_render_equal;
         ] );
       ( "rtos",
         [

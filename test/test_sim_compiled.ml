@@ -12,10 +12,11 @@
      byte-identical, event for event;
    - scenario level: the TUTMAC case study (fault-free, fault-injected,
      flow-traced) under both engines with full-trace diffs;
-   - queue level: QCheck properties pinning Sim.Calendar to the exact
-     (time, seq) total order of the binary-heap backend, including
-     FIFO within a timestamp, ordering across buckets, lazy dead-entry
-     dropping, and resize behaviour. *)
+   - queue level: QCheck properties pinning Sim.Engine's calendar queue
+     to the exact (time, seq) total order of a sorted-list model,
+     including FIFO within a timestamp, ordering across buckets, lazy
+     dead-entry dropping, in-place timer re-arming, and resize
+     behaviour. *)
 
 open Efsm
 
@@ -596,7 +597,13 @@ let test_scenario_differential_flows () =
   check int_t "same flows completed" cr cc;
   check bool_t "flows were minted" true (mr > 0)
 
-(* -- calendar queue properties ---------------------------------------- *)
+(* -- event queue properties -------------------------------------------- *)
+
+(* Sim.Engine's calendar queue must fire events in the exact (time, seq)
+   total order; these properties check it against a sorted-list model.
+   Every event records its own key when it fires.  The engine draws one
+   seq per schedule call, so numbering the calls in the test reproduces
+   its tie-break order. *)
 
 let insert_sorted key l =
   let rec go = function
@@ -605,48 +612,59 @@ let insert_sorted key l =
   in
   go l
 
-(* The calendar must reproduce the exact (time, seq) total order of the
-   heap backend.  [spread] controls how times map to buckets: a small
-   spread packs many events (and timestamp collisions — FIFO territory)
-   into one bucket; a large spread crosses buckets and laps. *)
+(* Fire the next event and return the key it recorded; [None] when the
+   queue is empty. *)
+let step_key engine last =
+  last := None;
+  if Sim.Engine.step engine then
+    match !last with
+    | Some _ as key -> key
+    | None -> QCheck.Test.fail_reportf "step fired an event that recorded nothing"
+  else None
+
+let expect_pop ~what got expected =
+  match (got, expected) with
+  | Some (gt, gs), Some (et, es) ->
+    if (gt, gs) <> (et, es) then
+      QCheck.Test.fail_reportf "%s: got (%d,%d), expected (%d,%d)" what gt gs et
+        es
+  | None, Some (et, es) ->
+    QCheck.Test.fail_reportf "%s: queue empty, expected (%d,%d)" what et es
+  | Some (gt, gs), None ->
+    QCheck.Test.fail_reportf "%s: fired (%d,%d) beyond the model" what gt gs
+  | None, None -> ()
+
+(* [spread] controls how times map to buckets: a small spread packs many
+   events (and timestamp collisions — FIFO territory) into one bucket; a
+   large spread crosses buckets and laps. *)
 let calendar_order_prop ~spread ops =
-  let c = Sim.Calendar.create ~live:(fun _ -> true) () in
+  let engine = Sim.Engine.create () in
+  let last = ref None in
   let model = ref [] in
-  let floor = ref 0 in
   let seq = ref 0 in
-  let take got =
-    match (got, !model) with
-    | Some got, expected :: rest ->
-      if got <> expected then
-        QCheck.Test.fail_reportf "pop order: got (%d,%d), expected (%d,%d)"
-          (fst got) (snd got) (fst expected) (snd expected);
-      model := rest;
-      floor := fst expected
-    | None, expected :: _ ->
-      QCheck.Test.fail_reportf "pop returned None, expected (%d,%d)"
-        (fst expected) (snd expected)
-    | Some got, [] ->
-      QCheck.Test.fail_reportf "pop returned (%d,%d), expected None" (fst got)
-        (snd got)
-    | None, [] -> ()
+  let pop () =
+    match !model with
+    | [] -> expect_pop ~what:"pop order" (step_key engine last) None
+    | expected :: rest ->
+      expect_pop ~what:"pop order" (step_key engine last) (Some expected);
+      model := rest
   in
   List.iter
     (fun v ->
-      if v mod 5 = 0 && !model <> [] then take (Sim.Calendar.pop c)
+      if v mod 5 = 0 && !model <> [] then pop ()
       else begin
-        let t = !floor + (v mod spread) in
+        let key = (Sim.Engine.now_ns engine + (v mod spread), !seq) in
         incr seq;
-        Sim.Calendar.add c ~time:t ~seq:!seq (t, !seq);
-        model := insert_sorted (t, !seq) !model
+        ignore
+          (Sim.Engine.schedule_at_ns engine ~time:(fst key) (fun () ->
+               last := Some key));
+        model := insert_sorted key !model
       end)
     ops;
-  while !model <> [] || Sim.Calendar.peek c <> None do
-    (match (Sim.Calendar.peek c, !model) with
-    | Some got, expected :: _ when got <> expected ->
-      QCheck.Test.fail_reportf "peek disagrees with pop order"
-    | _ -> ());
-    take (Sim.Calendar.pop c)
+  while !model <> [] do
+    pop ()
   done;
+  pop ();
   true
 
 let gen_calendar_ops =
@@ -660,93 +678,201 @@ let prop_calendar_buckets =
   QCheck.Test.make ~name:"calendar: order across buckets" ~count:200
     gen_calendar_ops (calendar_order_prop ~spread:9973)
 
-(* Lazy cancellation: dead entries never come back, live order is
-   unchanged, and the drop counter moves. *)
+(* Lazy cancellation: dead entries never fire, live order is unchanged,
+   and under a live scope the drop counter ends at exactly the number
+   of entries cancelled while still queued (a full drain drops each
+   one once). *)
 let prop_calendar_dead =
   QCheck.Test.make ~name:"calendar: dead entries are dropped" ~count:200
     gen_calendar_ops (fun ops ->
+      let obs = Obs.Scope.create () in
+      let engine = Sim.Engine.create ~obs () in
+      let last = ref None in
+      let handles = Hashtbl.create 64 in
       let dead = Hashtbl.create 64 in
-      let c = Sim.Calendar.create ~live:(fun (_, s) -> not (Hashtbl.mem dead s)) () in
+      let cancelled_queued = ref 0 in
       let model = ref [] in
-      let floor = ref 0 in
       let seq = ref 0 in
-      let pop_expected () =
-        let rec live = function
-          | [] -> []
-          | k :: rest -> if Hashtbl.mem dead (snd k) then live rest else k :: live rest
-        in
-        model := live !model;
-        match (Sim.Calendar.pop c, !model) with
-        | Some got, expected :: rest ->
-          if got <> expected then
-            QCheck.Test.fail_reportf "dead-drop pop order: got (%d,%d), expected (%d,%d)"
-              (fst got) (snd got) (fst expected) (snd expected);
-          model := rest;
-          floor := fst expected
-        | None, [] -> ()
-        | None, expected :: _ ->
-          QCheck.Test.fail_reportf "pop returned None, expected (%d,%d)"
-            (fst expected) (snd expected)
-        | Some got, [] ->
-          QCheck.Test.fail_reportf "pop returned (%d,%d), expected None"
-            (fst got) (snd got)
+      let pop ~what =
+        model := List.filter (fun k -> not (Hashtbl.mem dead (snd k))) !model;
+        match !model with
+        | [] -> expect_pop ~what (step_key engine last) None
+        | expected :: rest ->
+          expect_pop ~what (step_key engine last) (Some expected);
+          model := rest
       in
       List.iter
         (fun v ->
           match v mod 7 with
-          | 0 -> if !model <> [] then pop_expected ()
+          | 0 -> if !model <> [] then pop ~what:"dead-drop pop order"
           | 1 | 2 ->
-            (* cancel a random pending entry *)
-            if !seq > 0 then Hashtbl.replace dead (1 + (v mod !seq)) ()
+            (* cancel a random entry, pending or already fired *)
+            if !seq > 0 then begin
+              let s = v mod !seq in
+              let h = Hashtbl.find handles s in
+              if not (Sim.Engine.cancelled h) then incr cancelled_queued;
+              Sim.Engine.cancel h;
+              Hashtbl.replace dead s ()
+            end
           | _ ->
-            let t = !floor + (v mod 500) in
+            let key = (Sim.Engine.now_ns engine + (v mod 500), !seq) in
             incr seq;
-            Sim.Calendar.add c ~time:t ~seq:!seq (t, !seq);
-            model := insert_sorted (t, !seq) !model)
+            Hashtbl.replace handles (snd key)
+              (Sim.Engine.schedule_at_ns engine ~time:(fst key) (fun () ->
+                   last := Some key));
+            model := insert_sorted key !model)
         ops;
-      let rec drain () =
-        model := List.filter (fun k -> not (Hashtbl.mem dead (snd k))) !model;
-        match (Sim.Calendar.pop c, !model) with
-        | None, [] -> ()
-        | Some got, expected :: rest ->
-          if got <> expected then
-            QCheck.Test.fail_reportf "drain order: got (%d,%d), expected (%d,%d)"
-              (fst got) (snd got) (fst expected) (snd expected);
-          model := rest;
-          drain ()
-        | None, expected :: _ ->
-          QCheck.Test.fail_reportf "drain stopped early, expected (%d,%d)"
-            (fst expected) (snd expected)
-        | Some got, [] ->
-          QCheck.Test.fail_reportf "drained (%d,%d) beyond the model" (fst got)
-            (snd got)
+      while !model <> [] do
+        pop ~what:"drain order"
+      done;
+      pop ~what:"drain order";
+      let dropped =
+        Obs.Metrics.counter_value
+          (Obs.Metrics.snapshot (Obs.Scope.metrics obs))
+          "sim.engine.dead_entries_dropped"
       in
-      drain ();
+      if Option.value ~default:0 dropped <> !cancelled_queued then
+        QCheck.Test.fail_reportf "dead_entries_dropped = %d, cancelled %d queued"
+          (Option.value ~default:0 dropped)
+          !cancelled_queued;
       true)
+
+(* In-place re-arming must be indistinguishable from cancel-then-
+   schedule.  A few timers, each with one fixed callback like an EFSM
+   After timer, are re-armed between one-shot schedules, cancels (of
+   timers and one-shots) and steps.  The model treats a re-arm as the
+   removal of the timer's pending arming plus a fresh schedule drawing
+   the next seq.  Fill and drain phases alternate, so the queue grows
+   and shrinks through several resizes. *)
+type rearm_label = Shot of int | Timer of int
+
+module Rearm_model = Set.Make (struct
+  type t = int * int * rearm_label
+
+  let compare = compare
+end)
+
+let n_timers = 3
+let rearm_phase = 1_000
+
+let rearm_prop (spread, ops) =
+  let engine = Sim.Engine.create () in
+  let fired = ref None in
+  let model = ref Rearm_model.empty in
+  let seq = ref 0 in
+  let next_seq () =
+    let s = !seq in
+    incr seq;
+    s
+  in
+  let timer_fire = Array.init n_timers (fun k () -> fired := Some (Timer k)) in
+  let timers = Array.make n_timers Sim.Engine.never in
+  let timer_key = Array.make n_timers None in
+  let shots = Hashtbl.create 256 in
+  let forget = function
+    | _, _, Timer k -> timer_key.(k) <- None
+    | _, s, Shot _ -> Hashtbl.remove shots s
+  in
+  let step () =
+    fired := None;
+    let stepped = Sim.Engine.step engine in
+    match Rearm_model.min_elt_opt !model with
+    | None -> if stepped then QCheck.Test.fail_reportf "fired beyond the model"
+    | Some ((time, s, label) as key) ->
+      if not stepped then
+        QCheck.Test.fail_reportf "queue empty, expected seq %d at %d" s time;
+      if !fired <> Some label || Sim.Engine.now_ns engine <> time then
+        QCheck.Test.fail_reportf "expected seq %d at %d, fired another event" s
+          time;
+      model := Rearm_model.remove key !model;
+      forget key
+  in
+  List.iteri
+    (fun i v ->
+      if
+        i mod rearm_phase = 0
+        && Sim.Engine.pending engine <> Rearm_model.cardinal !model
+      then QCheck.Test.fail_reportf "pending disagrees with the model at op %d" i;
+      (* Out of 20: [steps] steps, then 2 re-arms, 1 cancel and the rest
+         one-shot schedules — 10% steps while filling, 70% draining. *)
+      let steps = if i / rearm_phase mod 2 = 0 then 2 else 14 in
+      let r = v mod 20 and arg = v / 20 in
+      if r < steps then step ()
+      else if r < steps + 2 then begin
+        let k = arg mod n_timers in
+        Option.iter
+          (fun key -> model := Rearm_model.remove key !model)
+          timer_key.(k);
+        let delay = arg / n_timers mod spread in
+        let key = (Sim.Engine.now_ns engine + delay, next_seq (), Timer k) in
+        timers.(k) <- Sim.Engine.rearm_ns engine timers.(k) ~delay timer_fire.(k);
+        timer_key.(k) <- Some key;
+        model := Rearm_model.add key !model
+      end
+      else if r = steps + 2 then begin
+        let cancel h key =
+          Sim.Engine.cancel h;
+          model := Rearm_model.remove key !model;
+          forget key
+        in
+        if arg mod 4 = 0 then begin
+          let k = arg / 4 mod n_timers in
+          Option.iter (cancel timers.(k)) timer_key.(k)
+        end
+        else if !seq > 0 then
+          Option.iter
+            (fun (h, key) -> cancel h key)
+            (Hashtbl.find_opt shots (arg mod !seq))
+      end
+      else begin
+        let s = next_seq () in
+        let time = Sim.Engine.now_ns engine + (arg mod spread) in
+        let key = (time, s, Shot s) in
+        let h =
+          Sim.Engine.schedule_at_ns engine ~time (fun () -> fired := Some (Shot s))
+        in
+        Hashtbl.replace shots s (h, key);
+        model := Rearm_model.add key !model
+      end)
+    ops;
+  while not (Rearm_model.is_empty !model) do
+    step ()
+  done;
+  step ();
+  true
+
+let prop_calendar_rearm =
+  QCheck.Test.make ~name:"calendar: re-arm matches cancel-then-schedule"
+    ~count:60
+    QCheck.(
+      pair (oneofl [ 3; 500; 100_000 ])
+        (list_of_size (Gen.int_range 1 4_000) (int_range 0 1_000_000)))
+    rearm_prop
 
 (* Deterministic resize stress: enough entries to force bucket growth
    and a spread that forces shrink on the way down. *)
 let test_calendar_resize () =
-  let c = Sim.Calendar.create ~n_buckets:64 ~width:16 ~live:(fun _ -> true) () in
+  let engine = Sim.Engine.create () in
   let lcg = ref 12345 in
   let next () =
     lcg := ((!lcg * 1103515245) + 12345) land 0x3FFFFFFF;
     !lcg
   in
   let n = 5_000 in
+  let last = ref None in
   for s = 1 to n do
     let t = next () mod 1_000_000 in
-    Sim.Calendar.add c ~time:t ~seq:s (t, s)
+    ignore (Sim.Engine.schedule_at_ns engine ~time:t (fun () -> last := Some (t, s)))
   done;
-  check int_t "all stored" n (Sim.Calendar.length c);
-  let last = ref (-1, -1) in
+  check int_t "all stored" n (Sim.Engine.pending engine);
+  let prev = ref (-1, -1) in
   let popped = ref 0 in
   let rec drain () =
-    match Sim.Calendar.pop c with
+    match step_key engine last with
     | None -> ()
     | Some k ->
-      check bool_t "strictly increasing (time,seq)" true (compare !last k < 0);
-      last := k;
+      check bool_t "strictly increasing (time,seq)" true (compare !prev k < 0);
+      prev := k;
       incr popped;
       drain ()
   in
@@ -876,6 +1002,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_calendar_fifo;
           QCheck_alcotest.to_alcotest prop_calendar_buckets;
           QCheck_alcotest.to_alcotest prop_calendar_dead;
+          QCheck_alcotest.to_alcotest prop_calendar_rearm;
           Alcotest.test_case "resize stress" `Quick test_calendar_resize;
         ] );
       ( "mailbox",

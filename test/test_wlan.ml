@@ -1,6 +1,6 @@
 (* Tests for the fleet-scale TUTWLAN network: replay identity of
-   N-terminal collision schedules across EFSM engines, trace backends
-   and aggregation job counts; churn edge cases (departure mid-fragment,
+   N-terminal collision schedules across EFSM engines and aggregation
+   job counts; churn edge cases (departure mid-fragment,
    rejoin under the same id); channel-injector determinism; accounting
    invariants; CLI churn-script parsing and config validation. *)
 
@@ -27,8 +27,7 @@ let plan () =
 
 let config ?(terminals = 6) ?(duration_ms = 200) ?(slot_ns = 50_000)
     ?(seed = 1) ?(faults = Fault.Plan.empty) ?(fault_seed = 1) ?(churn = [])
-    ?(jobs = 1) ?(engine = Codegen.Runtime.Compiled)
-    ?(trace_backend = Sim.Trace.Arena) () =
+    ?(jobs = 1) ?(engine = Codegen.Runtime.Compiled) () =
   {
     Tutmac.Wlan.default with
     Tutmac.Wlan.terminals;
@@ -40,7 +39,6 @@ let config ?(terminals = 6) ?(duration_ms = 200) ?(slot_ns = 50_000)
     churn;
     jobs;
     engine;
-    trace_backend;
   }
 
 (* Everything observable about a run: the rendered report (the CI
@@ -68,25 +66,22 @@ let accounting_holds (r : Tutmac.Wlan.result) =
 
 (* -- replay identity ---------------------------------------------------- *)
 
-(* One seed, every (engine x trace backend x jobs) combination: the
-   fingerprint never changes.  This is the tentpole's determinism
-   contract in miniature; the 50-seed sweep below stresses it. *)
+(* One seed, every (engine x jobs) combination: the fingerprint never
+   changes.  This is the determinism contract in miniature; the 50-seed
+   sweep below stresses it. *)
 let combos =
   [
-    (Codegen.Runtime.Reference, Sim.Trace.Arena, 1);
-    (Codegen.Runtime.Reference, Sim.Trace.List, 1);
-    (Codegen.Runtime.Compiled, Sim.Trace.Arena, 1);
-    (Codegen.Runtime.Compiled, Sim.Trace.List, 1);
-    (Codegen.Runtime.Reference, Sim.Trace.Arena, 2);
-    (Codegen.Runtime.Compiled, Sim.Trace.List, 2);
+    (Codegen.Runtime.Reference, 1);
+    (Codegen.Runtime.Compiled, 1);
+    (Codegen.Runtime.Reference, 2);
+    (Codegen.Runtime.Compiled, 2);
   ]
 
 let fingerprints ~seed ~faults ~churn =
   List.map
-    (fun (engine, trace_backend, jobs) ->
+    (fun (engine, jobs) ->
       fingerprint
-        (Tutmac.Wlan.run
-           (config ~seed ~faults ~churn ~jobs ~engine ~trace_backend ())))
+        (Tutmac.Wlan.run (config ~seed ~faults ~churn ~jobs ~engine ())))
     combos
 
 let test_replay_identity_one_seed () =
@@ -112,9 +107,8 @@ let test_replay_identity_one_seed () =
     check bool_t "the run is not degenerate" true
       (String.length reference > 1000)
 
-(* 50 seeds; for each, the compiled/arena and reference/list corners
-   (maximally different code paths) must agree, under different job
-   counts.  Faults and churn stay on so collision resolution, the
+(* 50 seeds; for each, the compiled and reference engines must agree,
+   under different job counts.  Faults and churn stay on so collision resolution, the
    injector draws and the departure bookkeeping are all inside the
    comparison. *)
 let test_replay_identity_50_seeds () =
@@ -134,15 +128,13 @@ let test_replay_identity_50_seeds () =
       fingerprint
         (Tutmac.Wlan.run
            (config ~duration_ms:80 ~seed ~faults ~churn ~jobs:1
-              ~engine:Codegen.Runtime.Compiled ~trace_backend:Sim.Trace.Arena
-              ()))
+              ~engine:Codegen.Runtime.Compiled ()))
     in
     let b =
       fingerprint
         (Tutmac.Wlan.run
            (config ~duration_ms:80 ~seed ~faults ~churn ~jobs:2
-              ~engine:Codegen.Runtime.Reference ~trace_backend:Sim.Trace.List
-              ()))
+              ~engine:Codegen.Runtime.Reference ()))
     in
     if a <> b then Alcotest.failf "seed %d diverges across engines" seed
   done
@@ -380,7 +372,7 @@ let () =
     [
       ( "replay",
         [
-          Alcotest.test_case "engines x backends x jobs, one seed" `Quick
+          Alcotest.test_case "engines x jobs, one seed" `Quick
             test_replay_identity_one_seed;
           Alcotest.test_case "50 seeds across engine corners" `Slow
             test_replay_identity_50_seeds;
