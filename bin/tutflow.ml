@@ -605,25 +605,49 @@ let report_cmd =
 
 let algorithm_arg =
   let doc = "Exploration algorithm: greedy, sa, random or exhaustive." in
-  Arg.(value & opt string "greedy" & info [ "algorithm" ] ~docv:"ALGO" ~doc)
+  Arg.(
+    value
+    & opt
+        (enum
+           [ ("greedy", `Greedy); ("sa", `Sa); ("random", `Random);
+             ("exhaustive", `Exhaustive) ])
+        `Greedy
+    & info [ "algorithm" ] ~docv:"ALGO" ~doc)
 
 let seed_arg =
   let doc = "Random seed for stochastic algorithms." in
   Arg.(value & opt int 1 & info [ "seed" ] ~docv:"N" ~doc)
 
+(* An int with a lower bound, checked while parsing: an out-of-range
+   value is a usage error naming the option, raised before any
+   simulation. *)
+let int_at_least lower =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= lower -> Ok n
+    | Some _ | None ->
+      Error (`Msg (Printf.sprintf "expected an integer >= %d, got %S" lower s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let iterations_arg =
-  let doc = "Iteration budget for stochastic algorithms." in
-  Arg.(value & opt int 500 & info [ "iterations" ] ~docv:"N" ~doc)
+  let doc = "Iteration budget for stochastic algorithms (at least 1)." in
+  Arg.(value & opt (int_at_least 1) 500 & info [ "iterations" ] ~docv:"N" ~doc)
 
 let jobs_arg =
   let doc =
     "Worker domains for the parallel exploration drivers (sa, random, \
      exhaustive).  0 means one per recommended core \
-     (Domain.recommended_domain_count); any value returns identical \
-     results, only faster.  greedy is inherently sequential and ignores \
-     this."
+     (Domain.recommended_domain_count).  Every value returns identical \
+     results, but more domains are not automatically faster: each task \
+     compiles its own kernel and domains cost start-up.  On a 2-vCPU \
+     Xeon VM, -j 2 ran the default 500 annealing iterations at \
+     0.13-0.41x the speed of -j 1 and exhaustive search at 0.36-0.75x \
+     (16k points) and 0.84-1.13x (262k points); only 2M-iteration \
+     annealing gained (1.07-1.83x).  greedy is inherently sequential \
+     and ignores this."
   in
-  Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
+  Arg.(value & opt (int_at_least 0) 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
 let explore_cmd =
   let run config algorithm seed iterations jobs =
@@ -642,39 +666,29 @@ let explore_cmd =
       let candidates = Dse.Cost.candidates view in
       let kernel = Dse.Compiled.compile spec ~candidates in
       let init = Dse.Cost.current_assignment view in
-      let jobs =
-        if jobs = 0 then Domain.recommended_domain_count () else max 1 jobs
-      in
-      let outcome =
+      let jobs = if jobs = 0 then Domain.recommended_domain_count () else jobs in
+      let result =
         match algorithm with
-        | "greedy" -> Ok (Dse.Explore.greedy_compiled ~kernel ~init ())
-        | "sa" ->
-          Ok
-            (Dse.Parallel.simulated_annealing_compiled ~jobs ~seed ~iterations
-               ~spec ~candidates ~init ())
-        | "random" ->
-          Ok
-            (Dse.Parallel.random_search_compiled ~jobs ~seed ~iterations ~spec
-               ~candidates ())
-        | "exhaustive" ->
-          Ok (Dse.Parallel.exhaustive_compiled ~jobs ~spec ~candidates ())
-        | other -> Error ("unknown algorithm " ^ other)
+        | `Greedy -> Dse.Explore.greedy_compiled ~kernel ~init ()
+        | `Sa ->
+          Dse.Parallel.simulated_annealing_compiled ~jobs ~seed ~iterations
+            ~spec ~candidates ~init ()
+        | `Random ->
+          Dse.Parallel.random_search_compiled ~jobs ~seed ~iterations ~spec
+            ~candidates ()
+        | `Exhaustive ->
+          Dse.Parallel.exhaustive_compiled ~jobs ~spec ~candidates ()
       in
-      (match outcome with
-      | Error e ->
-        prerr_endline e;
-        1
-      | Ok result ->
-        if jobs > 1 && algorithm <> "greedy" then
-          Printf.printf "exploring with %d worker domains\n" jobs;
-        Printf.printf "initial mapping cost: %.2f\n"
-          (Dse.Compiled.full_cost kernel init);
-        Printf.printf "best cost: %.2f after %d evaluations\n"
-          result.Dse.Explore.best_cost result.Dse.Explore.evaluations;
-        List.iter
-          (fun (group, pe) -> Printf.printf "  %-10s -> %s\n" group pe)
-          result.Dse.Explore.best;
-        0)
+      if jobs > 1 && algorithm <> `Greedy then
+        Printf.printf "exploring with %d worker domains\n" jobs;
+      Printf.printf "initial mapping cost: %.2f\n"
+        (Dse.Compiled.full_cost kernel init);
+      Printf.printf "best cost: %.2f after %d evaluations\n"
+        result.Dse.Explore.best_cost result.Dse.Explore.evaluations;
+      List.iter
+        (fun (group, pe) -> Printf.printf "  %-10s -> %s\n" group pe)
+        result.Dse.Explore.best;
+      0
   in
   Cmd.v
     (Cmd.info "explore"

@@ -2,10 +2,11 @@
    paper names as planned work ("tools for automatic grouping according
    to the profiling information ... will be implemented").
 
-   The flow: profile the TUTMAC terminal once, build the static cost
-   model from the report, then compare exhaustive search, greedy descent,
-   random search and simulated annealing on the group-to-PE mapping
-   problem, and apply the best mapping back to the model.
+   The flow: profile the TUTMAC terminal once, compile the static cost
+   model of the report into a search kernel, then compare exhaustive
+   search, greedy descent, random search and simulated annealing on the
+   group-to-PE mapping problem, and apply the best mapping back to the
+   model.
 
    Run with: dune exec examples/design_exploration.exe *)
 
@@ -25,13 +26,16 @@ let () =
 
   let profile = Dse.Cost.of_report result.Tutmac.Scenario.report in
   let platform = Dse.Cost.of_view view in
-  let eval = Dse.Cost.cost ~profile ~platform in
   let candidates = Dse.Cost.candidates view in
+  let kernel =
+    Dse.Compiled.compile (Dse.Compiled.spec ~profile ~platform ()) ~candidates
+  in
   let init = Dse.Cost.current_assignment view in
 
   Printf.printf "profiled workload: %Ld application cycles\n"
     result.Tutmac.Scenario.report.Profiler.Report.total_cycles;
-  Printf.printf "paper mapping (Figure 8) cost: %.2f\n\n" (eval init);
+  Printf.printf "paper mapping (Figure 8) cost: %.2f\n\n"
+    (Dse.Compiled.full_cost kernel init);
 
   Printf.printf "candidate PEs per group:\n";
   List.iter
@@ -48,15 +52,15 @@ let () =
       r.Dse.Explore.best;
     r
   in
-  let exhaustive = show "exhaustive" (Dse.Explore.exhaustive ~eval ~candidates ()) in
-  let greedy = show "greedy" (Dse.Explore.greedy ~eval ~candidates ~init ()) in
+  let exhaustive = show "exhaustive" (Dse.Explore.exhaustive_compiled ~kernel ()) in
+  let greedy = show "greedy" (Dse.Explore.greedy_compiled ~kernel ~init ()) in
   let random =
     show "random"
-      (Dse.Explore.random_search ~seed:7 ~iterations:200 ~eval ~candidates ())
+      (Dse.Explore.random_search_compiled ~seed:7 ~iterations:200 ~kernel ())
   in
   let annealing =
     show "annealing"
-      (Dse.Explore.simulated_annealing ~seed:7 ~iterations:400 ~eval ~candidates
+      (Dse.Explore.simulated_annealing_compiled ~seed:7 ~iterations:400 ~kernel
          ~init ())
   in
   ignore random;

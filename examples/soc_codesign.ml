@@ -396,15 +396,20 @@ let () =
   let report = Profiler.Report.build groups (Codegen.Runtime.trace rt_naive) in
   let profile = Dse.Cost.of_report report in
   let platform = Dse.Cost.of_view view in
-  let eval = Dse.Cost.cost ~alpha:1.0 ~beta:0.05 ~profile ~platform in
   let candidates = Dse.Cost.candidates view in
+  let kernel =
+    Dse.Compiled.compile
+      (Dse.Compiled.spec ~alpha:1.0 ~beta:0.05 ~profile ~platform ())
+      ~candidates
+  in
   let init = Dse.Cost.current_assignment view in
   let result =
-    Dse.Explore.simulated_annealing ~seed:3 ~iterations:3000 ~eval ~candidates
+    Dse.Explore.simulated_annealing_compiled ~seed:3 ~iterations:3000 ~kernel
       ~init ()
   in
   Printf.printf "exploration: cost %.1f -> %.1f in %d evaluations\n\n"
-    (eval init) result.Dse.Explore.best_cost result.Dse.Explore.evaluations;
+    (Dse.Compiled.full_cost kernel init)
+    result.Dse.Explore.best_cost result.Dse.Explore.evaluations;
   List.iter
     (fun (group, pe) -> Printf.printf "  %-12s -> %s\n" group pe)
     result.Dse.Explore.best;

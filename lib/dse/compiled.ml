@@ -157,7 +157,6 @@ let compile { alpha; beta; profile; platform } ~candidates =
 
 let candidates k = k.cands
 let n_groups k = Array.length k.group_names
-let group_name k g = k.group_names.(g)
 let options k g = k.options.(g)
 
 type state = {
@@ -380,11 +379,6 @@ let assign st ~group ~pe =
   check_pe st "assign" pe;
   st.pending <- false;
   apply st ~group ~new_pe:pe
-
-let unassign st ~group =
-  check_group st "unassign" group;
-  st.pending <- false;
-  if st.assigned.(group) >= 0 then apply st ~group ~new_pe:(-1)
 
 let materialize st lookup =
   let k = st.k in

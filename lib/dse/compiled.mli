@@ -1,23 +1,26 @@
-(** Compiled cost kernel with incremental (delta) move evaluation.
+(** Compiled cost kernel with incremental (delta) move evaluation — the
+    one scoring path of every mapping search ({!Explore},
+    {!Parallel}).
 
-    {!Cost.cost} is the readable reference oracle: per evaluation it
-    rebuilds a hashtable, resolves groups and PEs through association
-    lists and re-runs the platform's [hop_distance] (a BFS for
-    view-derived platforms) for every communication pair.  The search
-    algorithms score millions of mapping candidates, so this module
-    compiles a (profile, platform, candidates) triple {e once} into
-    integer-indexed tables — interned group/PE names, a precomputed
-    PE×PE hop matrix, per-entry time matrices (cycles ÷ speed) and a
-    CSR-style adjacency of the communication matrix — and then evaluates
-    single-group moves against a mutable {!state} in
-    O(entries + PEs + degree(group)) with no allocation.
+    {!Cost.cost} is the readable model and the kernel's test oracle,
+    with no production caller: per evaluation it rebuilds a hashtable,
+    resolves groups and PEs through association lists and re-runs the
+    platform's [hop_distance] (a BFS for view-derived platforms) for
+    every communication pair.  The search algorithms score millions of
+    mapping candidates, so this module compiles a (profile, platform,
+    candidates) triple {e once} into integer-indexed tables — interned
+    group/PE names, a precomputed PE×PE hop matrix, per-entry time
+    matrices (cycles ÷ speed) and a CSR-style adjacency of the
+    communication matrix — and then evaluates single-group moves
+    against a mutable {!state} in O(entries + PEs + degree(group)) with
+    no allocation.
 
     {2 Bit-identical equivalence}
 
     The kernel is {e not} an approximation: for any assignment it
     produces the exact float {!Cost.cost} would, so search results
     (best, best cost, improvement history) are bit-for-bit identical to
-    the reference path.  Two mechanisms make incremental updates exact:
+    the closure-scored searches the test suite keeps as the oracle.  Two mechanisms make incremental updates exact:
 
     - Per-PE execution-time loads are float sums whose value depends on
       summation order, so a move never adjusts a load in place (float
@@ -74,9 +77,7 @@ val candidates : t -> (string * string list) list
 (** The lattice as given to {!compile}. *)
 
 val n_groups : t -> int
-
-val group_name : t -> int -> string
-(** Groups are numbered in [candidates] order. *)
+(** Groups are numbered [0 .. n_groups - 1] in [candidates] order. *)
 
 val options : t -> int -> int array
 (** Candidate PE ids of a group, in the group's option-list order.  The
@@ -127,9 +128,6 @@ val assign : state -> group:int -> pe:int -> unit
 (** Move [group] to [pe] immediately (no pending bookkeeping) — the
     enumeration primitive for lattice walks.  Clears any pending
     move. *)
-
-val unassign : state -> group:int -> unit
-(** Remove [group] from the assignment.  Clears any pending move. *)
 
 val assignment : state -> Cost.assignment
 (** Materialize the current assignment in the state's output order

@@ -62,7 +62,10 @@ val cost :
   platform:platform_info ->
   assignment ->
   float
-(** Defaults [alpha = 1.0], [beta = 1.0].  Groups absent from the
+(** The objective written out directly — the definition {!Compiled}
+    reproduces bit for bit and the oracle its tests check it against.
+    The searches never call it: they score through a compiled kernel.
+    Defaults [alpha = 1.0], [beta = 1.0].  Groups absent from the
     assignment contribute nothing; callers should ensure assignments are
     total.  Raises [Invalid_argument] if the assignment names a PE that
     is not in [platform.pe_infos] (it used to silently price unknown PEs

@@ -6,7 +6,6 @@ type result = {
 }
 
 type tracker = {
-  eval : Cost.assignment -> float;
   mutable best : Cost.assignment;
   mutable best_cost : float;
   mutable evaluations : int;
@@ -16,11 +15,10 @@ type tracker = {
   tracer : Obs.Tracer.t;
 }
 
-let tracker ?obs eval init =
+let tracker ?obs init =
   let obs = match obs with Some s -> s | None -> Obs.Scope.null () in
   let metrics = Obs.Scope.metrics obs in
   {
-    eval;
     best = init;
     best_cost = infinity;
     evaluations = 0;
@@ -31,8 +29,8 @@ let tracker ?obs eval init =
   }
 
 (* Book-keep one scored point.  The assignment is a thunk so the
-   compiled paths only materialize (group, pe) lists on improvement —
-   the common rejected move costs no allocation. *)
+   searches only materialize (group, pe) lists on improvement — the
+   common rejected move costs no allocation. *)
 let record t cost assignment =
   t.evaluations <- t.evaluations + 1;
   Obs.Metrics.inc t.m_evals;
@@ -51,11 +49,6 @@ let record t cost assignment =
         "best_cost"
   end;
   cost
-
-let evaluate t assignment = record t (t.eval assignment) (fun () -> assignment)
-
-let unused_eval _ =
-  invalid_arg "Dse.Explore: compiled searches do not call the closure eval"
 
 let scope_metrics obs =
   Obs.Scope.metrics (match obs with Some s -> s | None -> Obs.Scope.null ())
@@ -82,132 +75,33 @@ let space_size candidates =
   in
   go 1 candidates
 
-let exhaustive ?obs ~eval ~candidates () =
+let require_options name candidates =
   if List.exists (fun (_, options) -> options = []) candidates then
-    invalid_arg "Dse.Explore.exhaustive: a group has no candidate PE";
-  (match space_size candidates with
-  | Some n when n <= 1_000_000 -> ()
-  | Some _ | None -> invalid_arg "Dse.Explore.exhaustive: space too large");
-  let t = tracker ?obs eval [] in
-  let rec enumerate prefix = function
-    | [] -> ignore (evaluate t (List.rev prefix))
-    | (group, options) :: rest ->
-      List.iter (fun pe -> enumerate ((group, pe) :: prefix) rest) options
-  in
-  enumerate [] candidates;
-  finish t
+    invalid_arg ("Dse.Explore." ^ name ^ ": a group has no candidate PE")
 
 let random_assignment rng candidates =
   List.map (fun (group, options) -> (group, Rng.pick rng options)) candidates
 
-let random_search ?obs ~seed ~iterations ~eval ~candidates () =
-  if List.exists (fun (_, options) -> options = []) candidates then
-    invalid_arg "Dse.Explore.random_search: a group has no candidate PE";
-  let rng = Rng.create seed in
-  let t = tracker ?obs eval [] in
-  for _ = 1 to iterations do
-    ignore (evaluate t (random_assignment rng candidates))
-  done;
-  finish t
-
-let moves candidates assignment =
-  (* All single-group reassignments. *)
-  List.concat_map
-    (fun (group, options) ->
-      let current = List.assoc_opt group assignment in
-      List.filter_map
-        (fun pe ->
-          if Some pe = current then None
-          else
-            Some
-              (List.map
-                 (fun (g, p) -> if g = group then (g, pe) else (g, p))
-                 assignment))
-        options)
-    candidates
-
-let greedy ?obs ~eval ~candidates ~init () =
-  let t = tracker ?obs eval init in
-  let rec descend current current_cost =
-    let neighbour_costs =
-      List.map (fun a -> (a, evaluate t a)) (moves candidates current)
-    in
-    match
-      List.fold_left
-        (fun acc (a, c) ->
-          match acc with
-          | Some (_, best_c) when best_c <= c -> acc
-          | Some _ | None -> if c < current_cost then Some (a, c) else acc)
-        None neighbour_costs
-    with
-    | Some (next, next_cost) -> descend next next_cost
-    | None -> ()
-  in
-  let init_cost = evaluate t init in
-  descend init init_cost;
-  finish t
-
-let simulated_annealing ?obs ~seed ~iterations ?(initial_temperature = 1.0)
-    ?(cooling = 0.995) ~eval ~candidates ~init () =
-  if List.exists (fun (_, options) -> options = []) candidates then
-    invalid_arg "Dse.Explore.simulated_annealing: a group has no candidate PE";
-  let rng = Rng.create seed in
-  let t = tracker ?obs eval init in
-  let metrics = scope_metrics obs in
-  let m_accepted = Obs.Metrics.counter metrics "dse.moves_accepted" in
-  let m_rejected = Obs.Metrics.counter metrics "dse.moves_rejected" in
-  (* Single-option groups admit no move: sampling them would burn the
-     iteration (and cool the temperature) on a no-op.  Restrict the walk
-     to movable groups, and skip it entirely when everything is fixed. *)
-  let movable =
-    List.filter (fun (_, options) -> List.length options > 1) candidates
-  in
-  let current = ref init in
-  let current_cost = ref (evaluate t init) in
-  (* Scale the temperature to the problem: a fraction of the initial cost. *)
-  let temperature = ref (initial_temperature *. max 1.0 !current_cost /. 10.0) in
-  if movable <> [] then
-    for _ = 1 to iterations do
-      let group, options = Rng.pick rng movable in
-      let pe = Rng.pick rng options in
-      let proposal =
-        List.map (fun (g, p) -> if g = group then (g, pe) else (g, p)) !current
-      in
-      let cost = evaluate t proposal in
-      let accept =
-        cost < !current_cost
-        || Rng.float rng < exp ((!current_cost -. cost) /. max 1e-9 !temperature)
-      in
-      if accept then begin
-        Obs.Metrics.inc m_accepted;
-        current := proposal;
-        current_cost := cost
-      end
-      else Obs.Metrics.inc m_rejected;
-      temperature := !temperature *. cooling
-    done;
-  finish t
-
-(* Compiled-kernel variants.  Each reproduces its reference algorithm's
-   arithmetic, RNG draws, evaluation order and materialized lists
-   exactly, so [result] values are bit-identical — the kernel only
-   changes how fast a point is scored.  [dse.delta_evals] counts
+(* Each search reproduces the closure-eval formulation kept as the test
+   oracle (test_dse_compiled.ml) exactly — arithmetic, RNG draws,
+   evaluation order and materialized lists — so [result] values are
+   bit-identical to scoring every point with [Cost.cost]; the kernel
+   only changes how fast a point is scored.  [dse.delta_evals] counts
    incremental evaluations, [dse.full_evals] full recomputations. *)
 
 let exhaustive_compiled ?obs ~kernel () =
   let candidates = Compiled.candidates kernel in
-  if List.exists (fun (_, options) -> options = []) candidates then
-    invalid_arg "Dse.Explore.exhaustive: a group has no candidate PE";
+  require_options "exhaustive" candidates;
   (match space_size candidates with
   | Some n when n <= 1_000_000 -> ()
   | Some _ | None -> invalid_arg "Dse.Explore.exhaustive: space too large");
-  let t = tracker ?obs unused_eval [] in
+  let t = tracker ?obs [] in
   let m_delta = Obs.Metrics.counter (scope_metrics obs) "dse.delta_evals" in
   let st = Compiled.fresh_state kernel in
   let n = Compiled.n_groups kernel in
-  (* Depth-first over the lattice: entering a level overwrites exactly
-     one group, so each inner assignment is an incremental update in the
-     reference's enumeration order. *)
+  (* Depth-first over the lattice, first group varying slowest: entering
+     a level overwrites exactly one group, so each point is one
+     incremental update. *)
   let rec enumerate g =
     if g = n then begin
       Obs.Metrics.inc m_delta;
@@ -226,10 +120,9 @@ let exhaustive_compiled ?obs ~kernel () =
 
 let random_search_compiled ?obs ~seed ~iterations ~kernel () =
   let candidates = Compiled.candidates kernel in
-  if List.exists (fun (_, options) -> options = []) candidates then
-    invalid_arg "Dse.Explore.random_search: a group has no candidate PE";
+  require_options "random_search" candidates;
   let rng = Rng.create seed in
-  let t = tracker ?obs unused_eval [] in
+  let t = tracker ?obs [] in
   let m_full = Obs.Metrics.counter (scope_metrics obs) "dse.full_evals" in
   let st = Compiled.fresh_state kernel in
   for _ = 1 to iterations do
@@ -241,7 +134,7 @@ let random_search_compiled ?obs ~seed ~iterations ~kernel () =
   finish t
 
 let greedy_compiled ?obs ~kernel ~init () =
-  let t = tracker ?obs unused_eval init in
+  let t = tracker ?obs init in
   let metrics = scope_metrics obs in
   let m_delta = Obs.Metrics.counter metrics "dse.delta_evals" in
   let m_full = Obs.Metrics.counter metrics "dse.full_evals" in
@@ -250,9 +143,9 @@ let greedy_compiled ?obs ~kernel ~init () =
   Obs.Metrics.inc m_full;
   let init_cost = record t (Compiled.current_cost st) (fun () -> init) in
   let rec descend current_cost =
-    (* Score every neighbour (single-group moves in [moves] order) and
-       keep the first strict improvement minimum, exactly like the
-       reference's fold over [moves candidates current]. *)
+    (* Score every single-group move — groups in candidates order, each
+       group's options in option order, its current PE skipped — and
+       keep the first strict improvement minimum. *)
     let best_group = ref (-1) and best_pe = ref (-1) and best_c = ref nan in
     for g = 0 to n - 1 do
       let cur = Compiled.pe_of st g in
@@ -286,20 +179,19 @@ let greedy_compiled ?obs ~kernel ~init () =
 
 let simulated_annealing_compiled ?obs ~seed ~iterations
     ?(initial_temperature = 1.0) ?(cooling = 0.995) ~kernel ~init () =
-  let candidates = Compiled.candidates kernel in
-  if List.exists (fun (_, options) -> options = []) candidates then
-    invalid_arg "Dse.Explore.simulated_annealing: a group has no candidate PE";
+  require_options "simulated_annealing" (Compiled.candidates kernel);
   let rng = Rng.create seed in
-  let t = tracker ?obs unused_eval init in
+  let t = tracker ?obs init in
   let metrics = scope_metrics obs in
   let m_accepted = Obs.Metrics.counter metrics "dse.moves_accepted" in
   let m_rejected = Obs.Metrics.counter metrics "dse.moves_rejected" in
   let m_delta = Obs.Metrics.counter metrics "dse.delta_evals" in
   let m_full = Obs.Metrics.counter metrics "dse.full_evals" in
   let st = Compiled.state_of kernel init in
-  (* Same prefilter as the reference — group ids whose option list has
-     more than one entry, in candidates order, indexed by the same
-     [Rng.int] draw [Rng.pick] would make on the list. *)
+  (* Single-option groups admit no move: sampling them would burn the
+     iteration (and cool the temperature) on a no-op, so the walk draws
+     from the group ids with more than one option, in candidates order,
+     with the same [Rng.int] draw [Rng.pick] would make on a list. *)
   let movable =
     Array.init (Compiled.n_groups kernel) Fun.id |> Array.to_list
     |> List.filter (fun g -> Array.length (Compiled.options kernel g) > 1)

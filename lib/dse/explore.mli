@@ -1,25 +1,23 @@
-(** Mapping exploration algorithms.
+(** Mapping exploration algorithms over a compiled cost kernel.
 
-    All algorithms operate on an abstract objective ([eval]) over
-    {!Cost.assignment}s and a per-group candidate-PE list, so they can be
-    driven by the static cost model or by full co-simulation.  They are
-    deterministic given the seed.
+    Every search scores points through a {!Compiled.t} — the
+    (profile, platform, candidate lattice) triple compiled once into
+    integer tables with O(degree) single-group move evaluation — and is
+    deterministic given the seed.  Results ([best], [best_cost],
+    [evaluations], [history]) are bit-identical to scoring every point
+    with {!Cost.cost}: the kernel preserves the readable model's float
+    summation order, and each search its RNG draws and list
+    materialization.  The closure-scored formulations of the four
+    searches live in the test suite as the oracle that pins this.
 
     Every algorithm accepts an optional {!Obs.Scope.t}: the registry
-    counts [dse.evaluations], [dse.best_updates] and (for annealing)
+    counts [dse.evaluations], [dse.best_updates], [dse.delta_evals]
+    (incremental move evaluations), [dse.full_evals] (full
+    recomputations) and, for annealing,
     [dse.moves_accepted]/[dse.moves_rejected]; the tracer receives the
     best-cost trajectory as counter samples on the ["dse"] track, with
-    the evaluation index as the time axis.
-
-    Each algorithm also exists in a [_compiled] variant that scores
-    points through a pre-compiled {!Compiled.t} kernel instead of the
-    closure [eval].  The compiled variants return {e bit-identical}
-    results (same [best], [best_cost], [evaluations], [history]) — the
-    kernel preserves the reference's float summation order, RNG draws
-    and list materialization — and additionally count
-    [dse.delta_evals] (incremental move evaluations) and
-    [dse.full_evals] (full recomputations) so traces show how much work
-    the kernel avoids. *)
+    the evaluation index as the time axis.  {!Parallel} runs the same
+    searches over worker domains. *)
 
 type result = {
   best : Cost.assignment;
@@ -31,83 +29,30 @@ type result = {
 
 val space_size : (string * string list) list -> int option
 (** Number of points in the candidate lattice, or [None] when the
-    product overflows [int] (which {!exhaustive} treats as "space too
-    large" rather than wrapping silently). *)
-
-val exhaustive :
-  ?obs:Obs.Scope.t ->
-  eval:(Cost.assignment -> float) ->
-  candidates:(string * string list) list ->
-  unit ->
-  result
-(** Try every combination.  Raises [Invalid_argument] when the space
-    exceeds 1_000_000 points (or overflows [int]) or any group has no
-    candidate. *)
-
-val random_search :
-  ?obs:Obs.Scope.t ->
-  seed:int ->
-  iterations:int ->
-  eval:(Cost.assignment -> float) ->
-  candidates:(string * string list) list ->
-  unit ->
-  result
-
-val moves :
-  (string * string list) list -> Cost.assignment -> Cost.assignment list
-(** All single-group reassignments of [assignment], enumerated in
-    candidates order, then in each group's option order, skipping the
-    group's current PE.  The enumeration order is part of {!greedy}'s
-    tie-break contract (first minimum wins), which the compiled path
-    reproduces — pinned by unit tests. *)
-
-val greedy :
-  ?obs:Obs.Scope.t ->
-  eval:(Cost.assignment -> float) ->
-  candidates:(string * string list) list ->
-  init:Cost.assignment ->
-  unit ->
-  result
-(** Steepest-descent single-group moves until no move improves. *)
-
-val simulated_annealing :
-  ?obs:Obs.Scope.t ->
-  seed:int ->
-  iterations:int ->
-  ?initial_temperature:float ->
-  ?cooling:float ->
-  eval:(Cost.assignment -> float) ->
-  candidates:(string * string list) list ->
-  init:Cost.assignment ->
-  unit ->
-  result
-(** Defaults: temperature 1.0 (scaled by the initial cost), geometric
-    cooling 0.995 per iteration.  Moves are sampled from the {e movable}
-    groups only (those with more than one candidate PE), so no iteration
-    is wasted proposing a no-op on a fixed group; when every group is
-    fixed the walk is skipped entirely and the result is just the
-    scored [init]. *)
-
-(** {2 Compiled-kernel variants}
-
-    Same algorithms, scored through {!Compiled}.  Results are
-    bit-identical to the closure-eval versions run with
-    [eval = Cost.cost ~alpha ~beta ~profile ~platform] for the kernel's
-    spec and the same candidates/seed/init. *)
+    product overflows [int] (which {!exhaustive_compiled} treats as
+    "space too large" rather than wrapping silently). *)
 
 val exhaustive_compiled :
   ?obs:Obs.Scope.t -> kernel:Compiled.t -> unit -> result
-(** Walks the lattice depth-first with one incremental single-group
-    update per enumeration step.  Same guards as {!exhaustive}. *)
+(** Try every combination, walking the lattice depth-first (first group
+    varying slowest) with one incremental single-group update per point.
+    Raises [Invalid_argument] when the space exceeds 1_000_000 points
+    (or overflows [int]) or any group has no candidate. *)
 
 val random_search_compiled :
   ?obs:Obs.Scope.t -> seed:int -> iterations:int -> kernel:Compiled.t ->
   unit -> result
+(** Score [iterations] uniformly drawn lattice points, each a full
+    recomputation.  Raises [Invalid_argument] when a group has no
+    candidate. *)
 
 val greedy_compiled :
   ?obs:Obs.Scope.t -> kernel:Compiled.t -> init:Cost.assignment -> unit ->
   result
-(** Steepest descent with O(degree) delta evaluation per neighbour. *)
+(** Steepest-descent single-group moves until no move improves.
+    Neighbours are scored in candidates order, each group's options in
+    option order, skipping the group's current PE; the first strict
+    minimum wins ties — pinned by unit tests. *)
 
 val simulated_annealing_compiled :
   ?obs:Obs.Scope.t ->
@@ -119,9 +64,13 @@ val simulated_annealing_compiled :
   init:Cost.assignment ->
   unit ->
   result
-(** Annealing with delta evaluation and commit/revert instead of
-    rebuilding proposal lists; consumes exactly the reference's RNG
-    draw sequence. *)
+(** Defaults: temperature 1.0 (scaled by the initial cost), geometric
+    cooling 0.995 per iteration.  Moves are sampled from the {e movable}
+    groups only (those with more than one candidate PE), so no iteration
+    is wasted proposing a no-op on a fixed group; when every group is
+    fixed the walk is skipped entirely and the result is just the
+    scored [init].  Proposals are delta-evaluated and committed or
+    reverted in place. *)
 
 val apply :
   Tut_profile.Builder.t -> Cost.assignment -> Tut_profile.Builder.t

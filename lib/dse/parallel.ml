@@ -1,4 +1,4 @@
-(* Parallel drivers for the exploration algorithms.
+(* Parallel drivers for the compiled exploration algorithms.
 
    The key design rule is that the *decomposition* of the work into
    tasks is deterministic and independent of [jobs]: [jobs] only decides
@@ -8,21 +8,29 @@
    produces bit-for-bit identical results.  The serial-equivalence test
    suite (test_dse_parallel.ml) holds this over random lattices.
 
-   - [exhaustive] statically partitions the candidate lattice into
-     blocks by fixing a prefix of groups; each block is explored by the
-     serial engine (the prefix is encoded as singleton candidate lists),
-     and blocks enumerate in exactly the serial engine's order, so the
-     merged result equals [Explore.exhaustive] point for point.
-   - [random_search] splits the iteration budget over a fixed number of
-     [streams], each drawing from its own [Rng.split] stream.
-   - [simulated_annealing] becomes multi-start: [restarts] independent
-     chains (chain 0 from the caller's init, the rest from random
-     starting points), each with its own seed stream.
+   - [exhaustive_compiled] statically partitions the candidate lattice
+     into blocks by fixing a prefix of groups; each block is explored by
+     the serial engine (the prefix is encoded as singleton candidate
+     lists), and blocks enumerate in exactly the serial engine's order,
+     so the merged result equals [Explore.exhaustive_compiled] point for
+     point.
+   - [random_search_compiled] splits the iteration budget over a fixed
+     number of [streams], each drawing from its own [Rng.split] stream.
+   - [simulated_annealing_compiled] becomes multi-start: [restarts]
+     independent chains (chain 0 from the caller's init, the rest from
+     random starting points), each with its own seed stream.
 
-   Each task gets its own [Obs.Scope] (a fresh registry, when the caller
-   passed a live scope) so worker domains never contend on metric cells;
-   the per-task snapshots are merged and absorbed into the caller's
-   registry afterwards, keeping counts like dse.evaluations exact. *)
+   Every task compiles its own kernel from the spec inside the task
+   body, i.e. on the worker domain that runs it, so kernels and their
+   mutable states never cross domains.  Each task also gets its own
+   [Obs.Scope] (a fresh registry, when the caller passed a live scope)
+   so worker domains never contend on metric cells; the per-task
+   snapshots are merged and absorbed into the caller's registry
+   afterwards, keeping counts like dse.evaluations exact. *)
+
+let require_options name candidates =
+  if List.exists (fun (_, options) -> options = []) candidates then
+    invalid_arg ("Dse.Parallel." ^ name ^ ": a group has no candidate PE")
 
 let resolve_jobs jobs =
   if jobs < 0 then invalid_arg "Dse.Parallel: negative jobs"
@@ -144,28 +152,8 @@ let chunk_prefixes ~target candidates =
   in
   (enum [] prefix_groups, rest)
 
-let exhaustive ?obs ?(jobs = 1) ~eval ~candidates () =
-  if List.exists (fun (_, options) -> options = []) candidates then
-    invalid_arg "Dse.Parallel.exhaustive: a group has no candidate PE";
-  (match Explore.space_size candidates with
-  | Some n when n <= 1_000_000 -> ()
-  | Some _ | None -> invalid_arg "Dse.Parallel.exhaustive: space too large");
-  let jobs = resolve_jobs jobs in
-  let prefixes, rest =
-    chunk_prefixes ~target:(if jobs <= 1 then 1 else jobs * 4) candidates
-  in
-  let tasks =
-    List.map
-      (fun prefix scope ->
-        let fixed = List.map (fun (group, pe) -> (group, [ pe ])) prefix in
-        Explore.exhaustive ~obs:scope ~eval ~candidates:(fixed @ rest) ())
-      prefixes
-  in
-  run ~jobs ~obs tasks
-
 let exhaustive_compiled ?obs ?(jobs = 1) ~spec ~candidates () =
-  if List.exists (fun (_, options) -> options = []) candidates then
-    invalid_arg "Dse.Parallel.exhaustive: a group has no candidate PE";
+  require_options "exhaustive" candidates;
   (match Explore.space_size candidates with
   | Some n when n <= 1_000_000 -> ()
   | Some _ | None -> invalid_arg "Dse.Parallel.exhaustive: space too large");
@@ -173,9 +161,6 @@ let exhaustive_compiled ?obs ?(jobs = 1) ~spec ~candidates () =
   let prefixes, rest =
     chunk_prefixes ~target:(if jobs <= 1 then 1 else jobs * 4) candidates
   in
-  (* The kernel is compiled inside the task body, i.e. on the worker
-     domain that runs the block: kernels and their mutable states never
-     cross domains. *)
   let tasks =
     List.map
       (fun prefix scope ->
@@ -192,25 +177,9 @@ let exhaustive_compiled ?obs ?(jobs = 1) ~spec ~candidates () =
    lowest stream indices — a function of (iterations, streams) only. *)
 let share ~total ~parts k = (total / parts) + if k < total mod parts then 1 else 0
 
-let random_search ?obs ?(jobs = 1) ?(streams = 16) ~seed ~iterations ~eval
-    ~candidates () =
-  if List.exists (fun (_, options) -> options = []) candidates then
-    invalid_arg "Dse.Parallel.random_search: a group has no candidate PE";
-  if streams < 1 then invalid_arg "Dse.Parallel.random_search: streams < 1";
-  let jobs = resolve_jobs jobs in
-  let tasks =
-    List.init streams (fun k scope ->
-        Explore.random_search ~obs:scope
-          ~seed:(Rng.split_seed ~seed ~stream:k)
-          ~iterations:(share ~total:iterations ~parts:streams k)
-          ~eval ~candidates ())
-  in
-  run ~jobs ~obs tasks
-
 let random_search_compiled ?obs ?(jobs = 1) ?(streams = 16) ~seed ~iterations
     ~spec ~candidates () =
-  if List.exists (fun (_, options) -> options = []) candidates then
-    invalid_arg "Dse.Parallel.random_search: a group has no candidate PE";
+  require_options "random_search" candidates;
   if streams < 1 then invalid_arg "Dse.Parallel.random_search: streams < 1";
   let jobs = resolve_jobs jobs in
   let tasks =
@@ -228,35 +197,14 @@ let random_search_compiled ?obs ?(jobs = 1) ?(streams = 16) ~seed ~iterations
 let random_assignment rng candidates =
   List.map (fun (group, options) -> (group, Rng.pick rng options)) candidates
 
-let simulated_annealing ?obs ?(jobs = 1) ?(restarts = 8) ~seed ~iterations
-    ?initial_temperature ?cooling ~eval ~candidates ~init () =
-  if List.exists (fun (_, options) -> options = []) candidates then
-    invalid_arg "Dse.Parallel.simulated_annealing: a group has no candidate PE";
+let simulated_annealing_compiled ?obs ?(jobs = 1) ?(restarts = 8) ~seed
+    ~iterations ?initial_temperature ?cooling ~spec ~candidates ~init () =
+  require_options "simulated_annealing" candidates;
   if restarts < 1 then
     invalid_arg "Dse.Parallel.simulated_annealing: restarts < 1";
   let jobs = resolve_jobs jobs in
   (* Even stream indices seed the chains, odd ones their starting
      points, so adding restarts never perturbs existing chains. *)
-  let tasks =
-    List.init restarts (fun k scope ->
-        let init =
-          if k = 0 then init
-          else random_assignment (Rng.split ~seed ~stream:((2 * k) + 1)) candidates
-        in
-        Explore.simulated_annealing ~obs:scope
-          ~seed:(Rng.split_seed ~seed ~stream:(2 * k))
-          ~iterations:(share ~total:iterations ~parts:restarts k)
-          ?initial_temperature ?cooling ~eval ~candidates ~init ())
-  in
-  run ~jobs ~obs tasks
-
-let simulated_annealing_compiled ?obs ?(jobs = 1) ?(restarts = 8) ~seed
-    ~iterations ?initial_temperature ?cooling ~spec ~candidates ~init () =
-  if List.exists (fun (_, options) -> options = []) candidates then
-    invalid_arg "Dse.Parallel.simulated_annealing: a group has no candidate PE";
-  if restarts < 1 then
-    invalid_arg "Dse.Parallel.simulated_annealing: restarts < 1";
-  let jobs = resolve_jobs jobs in
   let tasks =
     List.init restarts (fun k scope ->
         let init =

@@ -8,7 +8,6 @@ type config = {
   dispatch_overhead_cycles : int;
   faults : Fault.Plan.t;
   fault_seed : int;
-  remap_jobs : int;
   engine : Codegen.Runtime.engine_kind;
   trace_backend : Sim.Trace.backend;
 }
@@ -24,7 +23,6 @@ let default =
     dispatch_overhead_cycles = 20;
     faults = Fault.Plan.empty;
     fault_seed = 1;
-    remap_jobs = 1;
     engine = Codegen.Runtime.Compiled;
     trace_backend = Sim.Trace.Arena;
   }
@@ -55,12 +53,10 @@ type run_result = {
 }
 
 (* Degradation re-mapping driven by the exploration engine: when the
-   watchdog declares a PE dead, re-run the mapping search over the
-   profile observed so far, with the dead PE's groups restricted to
-   survivors and every other group pinned where it is.  [remap_jobs]
-   only parallelises the search ({!Dse.Parallel} results are
-   bit-identical across jobs values). *)
-let install_remap_hook config view runtime =
+   watchdog declares a PE dead, compile the cost kernel over the profile
+   observed so far and search it exhaustively, with the dead PE's groups
+   restricted to survivors and every other group pinned where it is. *)
+let install_remap_hook view runtime =
   let groups = Profiler.Groups.of_view view in
   let platform = Dse.Cost.of_view view in
   let current = ref (Dse.Cost.current_assignment view) in
@@ -83,11 +79,11 @@ let install_remap_hook config view runtime =
             else (group, [ assigned ]))
           (Dse.Cost.candidates view)
       in
-      let result =
-        Dse.Parallel.exhaustive ~jobs:config.remap_jobs
-          ~eval:(Dse.Cost.cost ~profile ~platform)
-          ~candidates ()
+      let kernel =
+        Dse.Compiled.compile (Dse.Compiled.spec ~profile ~platform ())
+          ~candidates
       in
+      let result = Dse.Explore.exhaustive_compiled ~kernel () in
       current := result.Dse.Explore.best;
       List.concat_map
         (fun (group, pe) ->
@@ -125,7 +121,7 @@ let run_builder ?(via_xmi = false) ?obs ?flows config builder =
       with
       | Error problems -> Error (String.concat "; " problems)
       | Ok runtime -> (
-        if injector <> None then install_remap_hook config view runtime;
+        if injector <> None then install_remap_hook view runtime;
         Codegen.Runtime.start runtime;
         ignore (Codegen.Runtime.run runtime ~until_ns:config.duration_ns);
         let groups_result =

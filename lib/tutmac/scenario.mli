@@ -1,7 +1,14 @@
 (** End-to-end driver for the Figure 2 flow on the TUTMAC/TUTWLAN case:
     build the model, validate it against TUT-Profile, generate the
     executable (lower to IR), simulate with environment workload, and
-    produce the Table 4 profiling report. *)
+    produce the Table 4 profiling report.
+
+    Under a fault plan with re-mapping enabled, a PE the watchdog
+    declares dead closes the Figure 2 loop inside the run: the report
+    of the trace so far is compiled into a {!Dse.Compiled} kernel and
+    searched exhaustively ({!Dse.Explore.exhaustive_compiled}) with the
+    dead PE's groups restricted to survivors and every other group
+    pinned, and the winning mapping moves the processes. *)
 
 type config = {
   app : App_model.params;
@@ -15,9 +22,6 @@ type config = {
       (** Fault-injection plan; {!Fault.Plan.empty} (the default) keeps
           the run byte-identical to a fault-free one. *)
   fault_seed : int;  (** Seed of the injection schedule (default 1). *)
-  remap_jobs : int;
-      (** Worker domains for the degradation re-mapping search (default
-          1; results are identical for any value). *)
   engine : Codegen.Runtime.engine_kind;
       (** EFSM execution engine (default [Compiled]).  [Reference] runs
           the {!Efsm.Interp} oracle the differential tests compare

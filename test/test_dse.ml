@@ -1,5 +1,7 @@
 (* Tests for the design-space exploration library: deterministic RNG,
-   cost model, constraint handling, search algorithms. *)
+   cost model, constraint handling, search algorithms (all run through
+   the compiled kernel; test_dse_compiled.ml holds them bit-identical
+   to the closure-scored oracle). *)
 
 let check = Alcotest.check
 let bool_t = Alcotest.bool
@@ -205,8 +207,13 @@ let test_current_assignment_and_feasible () =
 let candidates3 =
   [ ("g1", [ "cpu1"; "cpu2" ]); ("g2", [ "cpu1"; "cpu2" ]); ("g3", [ "cpu1"; "cpu2" ]) ]
 
+let kernel_of ?(profile = profile_data) ?(platform = flat_platform) candidates =
+  Dse.Compiled.compile (Dse.Compiled.spec ~profile ~platform ()) ~candidates
+
+let kernel3 = kernel_of candidates3
+
 let test_exhaustive_finds_optimum () =
-  let result = Dse.Explore.exhaustive ~eval:cost ~candidates:candidates3 () in
+  let result = Dse.Explore.exhaustive_compiled ~kernel:kernel3 () in
   check int_t "evaluated all 8" 8 result.Dse.Explore.evaluations;
   (* Optimal: colocate g1/g2 (heavy comm), g3 anywhere near g2.  Best is
      everything on one PE? makespan 21 vs split (g3 apart): makespan
@@ -215,14 +222,13 @@ let test_exhaustive_finds_optimum () =
 
 let test_greedy_improves () =
   let init = [ ("g1", "cpu1"); ("g2", "cpu2"); ("g3", "cpu2") ] in
-  let result = Dse.Explore.greedy ~eval:cost ~candidates:candidates3 ~init () in
+  let result = Dse.Explore.greedy_compiled ~kernel:kernel3 ~init () in
   check bool_t "no worse than init" true (result.Dse.Explore.best_cost <= cost init);
   check float_t "greedy reaches optimum here" 21.0 result.Dse.Explore.best_cost
 
 let test_random_search_bounded () =
   let result =
-    Dse.Explore.random_search ~seed:3 ~iterations:50 ~eval:cost
-      ~candidates:candidates3 ()
+    Dse.Explore.random_search_compiled ~seed:3 ~iterations:50 ~kernel:kernel3 ()
   in
   check int_t "iteration budget respected" 50 result.Dse.Explore.evaluations;
   check bool_t "found something" true (result.Dse.Explore.best_cost < infinity)
@@ -230,8 +236,8 @@ let test_random_search_bounded () =
 let test_sa_deterministic_and_good () =
   let init = [ ("g1", "cpu1"); ("g2", "cpu2"); ("g3", "cpu1") ] in
   let run () =
-    Dse.Explore.simulated_annealing ~seed:11 ~iterations:300 ~eval:cost
-      ~candidates:candidates3 ~init ()
+    Dse.Explore.simulated_annealing_compiled ~seed:11 ~iterations:300
+      ~kernel:kernel3 ~init ()
   in
   let a = run () and b = run () in
   check bool_t "deterministic" true
@@ -240,36 +246,64 @@ let test_sa_deterministic_and_good () =
   check float_t "reaches optimum" 21.0 a.Dse.Explore.best_cost
 
 (* Neighbour enumeration order is part of greedy's tie-break contract
-   (first minimum wins) and must be reproduced by the compiled kernel —
-   pin it exactly. *)
+   (first minimum wins) — pin it exactly.  Every neighbour of the init
+   is priced strictly below the one scored before it, so each becomes a
+   best-so-far and the history lists them in scoring order: (g1 -> b),
+   then (g2 -> a), then (g2 -> c) — groups in candidates order, options
+   in option order, the current PE skipped. *)
+let abc_platform =
+  let hops = [ (("a", "b"), 5); (("a", "c"), 1); (("b", "c"), 3) ] in
+  {
+    Dse.Cost.pe_infos =
+      List.map
+        (fun (pe, speed) -> { Dse.Cost.pe; speed; accelerator = false })
+        [ ("a", 100.0); ("b", 50.0); ("c", 1000.0) ];
+    Dse.Cost.hop_distance =
+      (fun x y ->
+        if x = y then 0
+        else
+          match List.assoc_opt (x, y) hops with
+          | Some h -> h
+          | None -> List.assoc (y, x) hops);
+  }
+
 let test_moves_enumeration_order () =
-  let candidates = [ ("g1", [ "a"; "b" ]); ("g2", [ "a"; "b"; "c" ]) ] in
-  let assignment = [ ("g1", "a"); ("g2", "b") ] in
+  let profile =
+    { Dse.Cost.group_cycles = [ ("g1", 1000L); ("g2", 1000L) ];
+      Dse.Cost.comm = [ (("g1", "g2"), 5) ] }
+  in
+  let kernel =
+    kernel_of ~profile ~platform:abc_platform
+      [ ("g1", [ "a"; "b" ]); ("g2", [ "a"; "b"; "c" ]) ]
+  in
+  let result =
+    Dse.Explore.greedy_compiled ~kernel ~init:[ ("g1", "a"); ("g2", "b") ] ()
+  in
+  (* (a,b) 20 + 25 remote; (b,b) 40; (a,a) 20; (a,c) 10 + 5 remote. *)
   check
-    (Alcotest.list
-       (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.string)))
-    "groups in candidates order, options in option order, current skipped"
-    [
-      [ ("g1", "b"); ("g2", "b") ];
-      [ ("g1", "a"); ("g2", "a") ];
-      [ ("g1", "a"); ("g2", "c") ];
-    ]
-    (Dse.Explore.moves candidates assignment)
+    (Alcotest.list (Alcotest.pair int_t float_t))
+    "init, then (b,b), (a,a), (a,c) in scoring order"
+    [ (1, 45.0); (2, 40.0); (3, 20.0); (4, 15.0) ]
+    result.Dse.Explore.history;
+  (* Round 2 from (a,c) scores its three neighbours and stops. *)
+  check int_t "current PE never re-scored" 7 result.Dse.Explore.evaluations
 
 let test_greedy_tie_break_first_move_wins () =
   (* Two identical groups on two identical PEs: moving either group off
      the shared PE halves the makespan to the same cost (10.0).  The
-     fold must keep the first minimum in [moves] order, i.e. move g1. *)
+     descent must keep the first minimum in scoring order, i.e. move
+     g1. *)
   let profile =
     {
       Dse.Cost.group_cycles = [ ("g1", 1000L); ("g2", 1000L) ];
       Dse.Cost.comm = [];
     }
   in
-  let eval = Dse.Cost.cost ~profile ~platform:flat_platform in
   let candidates = [ ("g1", [ "cpu1"; "cpu2" ]); ("g2", [ "cpu1"; "cpu2" ]) ] in
   let init = [ ("g1", "cpu1"); ("g2", "cpu1") ] in
-  let result = Dse.Explore.greedy ~eval ~candidates ~init () in
+  let result =
+    Dse.Explore.greedy_compiled ~kernel:(kernel_of ~profile candidates) ~init ()
+  in
   check
     (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.string))
     "first tied improvement wins"
@@ -282,17 +316,33 @@ let test_greedy_tie_break_first_move_wins () =
     (Alcotest.list (Alcotest.pair int_t float_t))
     "history pins the descent" [ (1, 20.0); (2, 10.0) ]
     result.Dse.Explore.history;
-  (* And the compiled path replays the same tie-break. *)
-  let kernel =
-    Dse.Compiled.compile
-      (Dse.Compiled.spec ~profile ~platform:flat_platform ())
-      ~candidates
+  (* Either tied move gives that result; here the two tied moves (g1 ->
+     cpu2, g2 -> cpu3, both 20.0) lead to different descents: taking g1's
+     finds the all-split 10.0 at evaluation 5, taking g2's would find it
+     at evaluation 4. *)
+  let platform =
+    {
+      flat_platform with
+      Dse.Cost.pe_infos =
+        List.map
+          (fun pe -> { Dse.Cost.pe; speed = 100.0; accelerator = false })
+          [ "cpu1"; "cpu2"; "cpu3" ];
+    }
   in
-  let compiled = Dse.Explore.greedy_compiled ~kernel ~init () in
-  check bool_t "compiled greedy identical" true
-    (compiled.Dse.Explore.best = result.Dse.Explore.best
-    && compiled.Dse.Explore.best_cost = result.Dse.Explore.best_cost
-    && compiled.Dse.Explore.history = result.Dse.Explore.history)
+  let profile =
+    { profile with Dse.Cost.group_cycles = ("g3", 1000L) :: profile.Dse.Cost.group_cycles }
+  in
+  let kernel =
+    kernel_of ~profile ~platform
+      [ ("g1", [ "cpu1"; "cpu2" ]); ("g2", [ "cpu1"; "cpu3" ]); ("g3", [ "cpu1" ]) ]
+  in
+  check
+    (Alcotest.list (Alcotest.pair int_t float_t))
+    "the first tied move is the one taken" [ (1, 30.0); (2, 20.0); (5, 10.0) ]
+    (Dse.Explore.greedy_compiled ~kernel
+       ~init:[ ("g1", "cpu1"); ("g2", "cpu1"); ("g3", "cpu1") ]
+       ())
+      .Dse.Explore.history
 
 let test_sa_prefilters_movable_groups () =
   (* g1 is fixed (single candidate); every iteration must still propose
@@ -300,15 +350,15 @@ let test_sa_prefilters_movable_groups () =
   let candidates = [ ("g1", [ "cpu1" ]); ("g2", [ "cpu1"; "cpu2" ]) ] in
   let init = [ ("g1", "cpu1"); ("g2", "cpu2") ] in
   let result =
-    Dse.Explore.simulated_annealing ~seed:11 ~iterations:50 ~eval:cost
-      ~candidates ~init ()
+    Dse.Explore.simulated_annealing_compiled ~seed:11 ~iterations:50
+      ~kernel:(kernel_of candidates) ~init ()
   in
   check int_t "init + one proposal per iteration" 51
     result.Dse.Explore.evaluations;
   (* All groups fixed: nothing to anneal, only the init is scored. *)
   let frozen =
-    Dse.Explore.simulated_annealing ~seed:11 ~iterations:50 ~eval:cost
-      ~candidates:[ ("g1", [ "cpu1" ]); ("g2", [ "cpu2" ]) ]
+    Dse.Explore.simulated_annealing_compiled ~seed:11 ~iterations:50
+      ~kernel:(kernel_of [ ("g1", [ "cpu1" ]); ("g2", [ "cpu2" ]) ])
       ~init:[ ("g1", "cpu1"); ("g2", "cpu2") ]
       ()
   in
@@ -319,8 +369,7 @@ let test_sa_prefilters_movable_groups () =
 
 let test_history_monotone () =
   let result =
-    Dse.Explore.random_search ~seed:9 ~iterations:200 ~eval:cost
-      ~candidates:candidates3 ()
+    Dse.Explore.random_search_compiled ~seed:9 ~iterations:200 ~kernel:kernel3 ()
   in
   let costs = List.map snd result.Dse.Explore.history in
   check bool_t "history strictly improves" true
@@ -333,7 +382,8 @@ let test_exhaustive_guards () =
   Alcotest.check_raises "empty candidate list"
     (Invalid_argument "Dse.Explore.exhaustive: a group has no candidate PE")
     (fun () ->
-      ignore (Dse.Explore.exhaustive ~eval:cost ~candidates:[ ("g", []) ] ()))
+      ignore
+        (Dse.Explore.exhaustive_compiled ~kernel:(kernel_of [ ("g", []) ]) ()))
 
 let test_space_size_overflow () =
   check (Alcotest.option int_t) "small lattice exact" (Some 8)
@@ -347,7 +397,9 @@ let test_space_size_overflow () =
     (Dse.Explore.space_size huge);
   Alcotest.check_raises "exhaustive raises the existing error"
     (Invalid_argument "Dse.Explore.exhaustive: space too large") (fun () ->
-      ignore (Dse.Explore.exhaustive ~eval:cost ~candidates:huge ()))
+      ignore
+        (Dse.Explore.exhaustive_compiled
+           ~kernel:(kernel_of ~platform:abc_platform huge) ()))
 
 (* -- apply -------------------------------------------------------------------- *)
 
@@ -403,7 +455,7 @@ let prop_greedy_never_worse =
     (fun (a, b, c) ->
       let pe n = if n = 0 then "cpu1" else "cpu2" in
       let init = [ ("g1", pe a); ("g2", pe b); ("g3", pe c) ] in
-      let result = Dse.Explore.greedy ~eval:cost ~candidates:candidates3 ~init () in
+      let result = Dse.Explore.greedy_compiled ~kernel:kernel3 ~init () in
       result.Dse.Explore.best_cost <= cost init)
 
 let () =

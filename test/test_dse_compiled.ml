@@ -1,20 +1,22 @@
 (* Bit-identical equivalence of the compiled DSE cost kernel.
 
    Dse.Compiled promises that searching through the kernel returns
-   exactly the result of the closure-eval reference — same [best] list,
-   same [best_cost] float (compared with [=], i.e. bit-identical for
-   these non-NaN values), same [evaluations] and [history].  The
-   properties here generate random candidate lattices with random cost
-   models (the spec-record style of test_dse_parallel.ml) and hold that
-   promise over:
+   exactly the result of scoring every point with the readable model
+   Dse.Cost.cost — same [best] list, same [best_cost] float (compared
+   with [=], i.e. bit-identical for these non-NaN values), same
+   [evaluations] and [history].  The oracle below writes each search
+   directly over a [Cost.cost] closure; the properties generate random
+   candidate lattices with random cost models (the spec-record style of
+   test_dse_parallel.ml) and hold the promise over:
 
    - one-shot evaluation: [full_cost] vs [Cost.cost], including
      non-default alpha/beta;
    - delta evaluation: random walks of delta_cost/commit/revert checked
      against the reference at every step;
    - every serial algorithm (exhaustive, greedy, random_search,
-     simulated_annealing) and every Dse.Parallel wrapper for jobs in
-     {1, 2, 4, 8};
+     simulated_annealing) against its oracle, and every Dse.Parallel
+     driver for jobs in {1, 2, 4, 8} against the oracle run over the
+     documented task decomposition;
    - the out-of-range fallback path (comm counts past the 2^52
      integer-exactness bound);
 
@@ -22,6 +24,180 @@
 
 let check = Alcotest.check
 let bool_t = Alcotest.bool
+
+(* -- closure-eval oracle --------------------------------------------------- *)
+
+(* The four searches written directly over an [eval] closure: plain
+   (group, pe) lists, one [eval] call per point, the tracker's strict
+   [<] first-winner rule.  Each compiled driver must reproduce its
+   oracle's arithmetic, RNG draws and evaluation order exactly. *)
+module Oracle = struct
+  type tracker = {
+    eval : Dse.Cost.assignment -> float;
+    mutable best : Dse.Cost.assignment;
+    mutable best_cost : float;
+    mutable evaluations : int;
+    mutable history : (int * float) list;
+  }
+
+  let tracker eval init =
+    { eval; best = init; best_cost = infinity; evaluations = 0; history = [] }
+
+  let evaluate t a =
+    let cost = t.eval a in
+    t.evaluations <- t.evaluations + 1;
+    if cost < t.best_cost then begin
+      t.best <- a;
+      t.best_cost <- cost;
+      t.history <- (t.evaluations, cost) :: t.history
+    end;
+    cost
+
+  let finish t =
+    {
+      Dse.Explore.best = t.best;
+      best_cost = t.best_cost;
+      evaluations = t.evaluations;
+      history = List.rev t.history;
+    }
+
+  let exhaustive ~eval ~candidates =
+    let t = tracker eval [] in
+    let rec enumerate prefix = function
+      | [] -> ignore (evaluate t (List.rev prefix))
+      | (group, options) :: rest ->
+        List.iter (fun pe -> enumerate ((group, pe) :: prefix) rest) options
+    in
+    enumerate [] candidates;
+    finish t
+
+  let random_assignment rng candidates =
+    List.map (fun (group, options) -> (group, Dse.Rng.pick rng options))
+      candidates
+
+  let random_search ~seed ~iterations ~eval ~candidates =
+    let rng = Dse.Rng.create seed in
+    let t = tracker eval [] in
+    for _ = 1 to iterations do
+      ignore (evaluate t (random_assignment rng candidates))
+    done;
+    finish t
+
+  let replace group pe assignment =
+    List.map (fun (g, p) -> if g = group then (g, pe) else (g, p)) assignment
+
+  (* All single-group reassignments, in candidates order, then option
+     order, skipping the group's current PE. *)
+  let moves candidates assignment =
+    List.concat_map
+      (fun (group, options) ->
+        let current = List.assoc_opt group assignment in
+        List.filter_map
+          (fun pe ->
+            if Some pe = current then None
+            else Some (replace group pe assignment))
+          options)
+      candidates
+
+  let greedy ~eval ~candidates ~init =
+    let t = tracker eval init in
+    let rec descend current current_cost =
+      let scored =
+        List.map (fun a -> (a, evaluate t a)) (moves candidates current)
+      in
+      match
+        List.fold_left
+          (fun acc (a, c) ->
+            match acc with
+            | Some (_, best_c) when best_c <= c -> acc
+            | Some _ | None -> if c < current_cost then Some (a, c) else acc)
+          None scored
+      with
+      | Some (next, next_cost) -> descend next next_cost
+      | None -> ()
+    in
+    descend init (evaluate t init);
+    finish t
+
+  let simulated_annealing ~seed ~iterations ~eval ~candidates ~init =
+    let rng = Dse.Rng.create seed in
+    let t = tracker eval init in
+    let movable =
+      List.filter (fun (_, options) -> List.length options > 1) candidates
+    in
+    let current = ref init in
+    let current_cost = ref (evaluate t init) in
+    let temperature = ref (max 1.0 !current_cost /. 10.0) in
+    if movable <> [] then
+      for _ = 1 to iterations do
+        let group, options = Dse.Rng.pick rng movable in
+        let proposal = replace group (Dse.Rng.pick rng options) !current in
+        let cost = evaluate t proposal in
+        if
+          cost < !current_cost
+          || Dse.Rng.float rng
+             < exp ((!current_cost -. cost) /. max 1e-9 !temperature)
+        then begin
+          current := proposal;
+          current_cost := cost
+        end;
+        temperature := !temperature *. 0.995
+      done;
+    finish t
+
+  (* Dse.Parallel's documented merge: lowest cost with ties to the
+     lowest task, evaluations summed, histories re-based onto one
+     evaluation axis and filtered to global improvements. *)
+  let merge results =
+    let best, best_cost, _, evaluations, history =
+      List.fold_left
+        (fun (best, best_cost, floor, offset, history) (r : Dse.Explore.result) ->
+          let best, best_cost =
+            if r.Dse.Explore.best_cost < best_cost then
+              (r.Dse.Explore.best, r.Dse.Explore.best_cost)
+            else (best, best_cost)
+          in
+          let floor, history =
+            List.fold_left
+              (fun (floor, history) (i, c) ->
+                if c < floor then (c, (offset + i, c) :: history)
+                else (floor, history))
+              (floor, history) r.Dse.Explore.history
+          in
+          (best, best_cost, floor, offset + r.Dse.Explore.evaluations, history))
+        ([], infinity, infinity, 0, []) results
+    in
+    { Dse.Explore.best; best_cost; evaluations; history = List.rev history }
+
+  let share ~total ~parts k =
+    (total / parts) + if k < total mod parts then 1 else 0
+
+  (* 16 streams, each on its own split seed. *)
+  let parallel_random_search ~seed ~iterations ~eval ~candidates =
+    merge
+      (List.init 16 (fun k ->
+           random_search
+             ~seed:(Dse.Rng.split_seed ~seed ~stream:k)
+             ~iterations:(share ~total:iterations ~parts:16 k)
+             ~eval ~candidates))
+
+  (* 8 chains: chain k on stream 2k, started from [init] (k = 0) or a
+     random point drawn from stream 2k + 1. *)
+  let parallel_simulated_annealing ~seed ~iterations ~eval ~candidates ~init =
+    merge
+      (List.init 8 (fun k ->
+           let init =
+             if k = 0 then init
+             else
+               random_assignment
+                 (Dse.Rng.split ~seed ~stream:((2 * k) + 1))
+                 candidates
+           in
+           simulated_annealing
+             ~seed:(Dse.Rng.split_seed ~seed ~stream:(2 * k))
+             ~iterations:(share ~total:iterations ~parts:8 k)
+             ~eval ~candidates ~init))
+end
 
 (* -- random lattices (same spec-record style as test_dse_parallel) ------- *)
 
@@ -191,7 +367,7 @@ let prop_exhaustive_compiled_identical =
       let ((profile, platform, candidates) as model) = model_of spec in
       let eval = Dse.Cost.cost ~profile ~platform in
       same_result
-        (Dse.Explore.exhaustive ~eval ~candidates ())
+        (Oracle.exhaustive ~eval ~candidates)
         (Dse.Explore.exhaustive_compiled ~kernel:(kernel_of model) ()))
 
 let prop_greedy_compiled_identical =
@@ -201,7 +377,7 @@ let prop_greedy_compiled_identical =
       let eval = Dse.Cost.cost ~profile ~platform in
       let init = first_options candidates in
       same_result
-        (Dse.Explore.greedy ~eval ~candidates ~init ())
+        (Oracle.greedy ~eval ~candidates ~init)
         (Dse.Explore.greedy_compiled ~kernel:(kernel_of model) ~init ()))
 
 let prop_random_search_compiled_identical =
@@ -210,8 +386,7 @@ let prop_random_search_compiled_identical =
       let ((profile, platform, candidates) as model) = model_of spec in
       let eval = Dse.Cost.cost ~profile ~platform in
       same_result
-        (Dse.Explore.random_search ~seed:spec.seed ~iterations:100 ~eval
-           ~candidates ())
+        (Oracle.random_search ~seed:spec.seed ~iterations:100 ~eval ~candidates)
         (Dse.Explore.random_search_compiled ~seed:spec.seed ~iterations:100
            ~kernel:(kernel_of model) ()))
 
@@ -222,12 +397,12 @@ let prop_sa_compiled_identical =
       let eval = Dse.Cost.cost ~profile ~platform in
       let init = first_options candidates in
       same_result
-        (Dse.Explore.simulated_annealing ~seed:spec.seed ~iterations:200 ~eval
-           ~candidates ~init ())
+        (Oracle.simulated_annealing ~seed:spec.seed ~iterations:200 ~eval
+           ~candidates ~init)
         (Dse.Explore.simulated_annealing_compiled ~seed:spec.seed
            ~iterations:200 ~kernel:(kernel_of model) ~init ()))
 
-(* -- parallel wrapper equivalence ---------------------------------------- *)
+(* -- parallel driver equivalence ----------------------------------------- *)
 
 let prop_parallel_compiled_identical =
   QCheck.Test.make ~name:"Parallel *_compiled == closure eval, jobs {1,2,4,8}"
@@ -236,14 +411,14 @@ let prop_parallel_compiled_identical =
       let eval = Dse.Cost.cost ~profile ~platform in
       let cspec = Dse.Compiled.spec ~profile ~platform () in
       let init = first_options candidates in
-      let exhaustive_ref = Dse.Parallel.exhaustive ~jobs:1 ~eval ~candidates () in
+      let exhaustive_ref = Oracle.exhaustive ~eval ~candidates in
       let random_ref =
-        Dse.Parallel.random_search ~jobs:1 ~seed:spec.seed ~iterations:60 ~eval
-          ~candidates ()
+        Oracle.parallel_random_search ~seed:spec.seed ~iterations:60 ~eval
+          ~candidates
       in
       let sa_ref =
-        Dse.Parallel.simulated_annealing ~jobs:1 ~seed:spec.seed ~iterations:64
-          ~eval ~candidates ~init ()
+        Oracle.parallel_simulated_annealing ~seed:spec.seed ~iterations:64
+          ~eval ~candidates ~init
       in
       List.for_all
         (fun jobs ->

@@ -8,7 +8,8 @@
    test_random_models.ml) and hold, for jobs in {1, 2, 4, 8}:
 
    - exhaustive: bit-for-bit equality with the serial
-     Dse.Explore.exhaustive — best, best_cost, evaluations, history;
+     Dse.Explore.exhaustive_compiled — best, best_cost, evaluations,
+     history;
    - random_search / simulated_annealing: bit-for-bit equality with the
      same driver at jobs = 1;
    - merged-history invariants: indices strictly increase within
@@ -49,9 +50,9 @@ let print_spec spec =
 
 let arbitrary_spec = QCheck.make ~print:print_spec gen_spec
 
-(* Build an eval + candidate lattice from the spec.  Candidate subsets
-   vary per group (size and offset derived from the group's cycle cost)
-   so the lattice is not always the full cross product. *)
+(* Build a kernel spec + candidate lattice from the spec.  Candidate
+   subsets vary per group (size and offset derived from the group's
+   cycle cost) so the lattice is not always the full cross product. *)
 let model_of spec =
   let group g = Printf.sprintf "g%d" g in
   let pe p = Printf.sprintf "pe%d" p in
@@ -91,7 +92,7 @@ let model_of spec =
         (group g, List.init size (fun i -> pe ((g + i) mod spec.n_pes))))
       spec.cycles
   in
-  (Dse.Cost.cost ~profile ~platform, candidates)
+  (Dse.Compiled.spec ~profile ~platform (), candidates)
 
 let same_result (a : Dse.Explore.result) (b : Dse.Explore.result) =
   a.Dse.Explore.best = b.Dse.Explore.best
@@ -106,20 +107,25 @@ let jobs_grid = [ 1; 2; 4; 8 ]
 let prop_exhaustive_matches_serial =
   QCheck.Test.make ~name:"parallel exhaustive == serial, jobs in {1,2,4,8}"
     ~count:25 arbitrary_spec (fun spec ->
-      let eval, candidates = model_of spec in
-      let serial = Dse.Explore.exhaustive ~eval ~candidates () in
+      let cspec, candidates = model_of spec in
+      let serial =
+        Dse.Explore.exhaustive_compiled
+          ~kernel:(Dse.Compiled.compile cspec ~candidates) ()
+      in
       List.for_all
         (fun jobs ->
-          same_result serial (Dse.Parallel.exhaustive ~jobs ~eval ~candidates ()))
+          same_result serial
+            (Dse.Parallel.exhaustive_compiled ~jobs ~spec:cspec ~candidates
+               ()))
         jobs_grid)
 
 let prop_random_search_jobs_invariant =
   QCheck.Test.make ~name:"random_search identical across jobs" ~count:25
     arbitrary_spec (fun spec ->
-      let eval, candidates = model_of spec in
+      let cspec, candidates = model_of spec in
       let run jobs =
-        Dse.Parallel.random_search ~jobs ~seed:spec.seed ~iterations:100 ~eval
-          ~candidates ()
+        Dse.Parallel.random_search_compiled ~jobs ~seed:spec.seed ~iterations:100
+          ~spec:cspec ~candidates ()
       in
       let reference = run 1 in
       reference.Dse.Explore.evaluations = 100
@@ -128,11 +134,11 @@ let prop_random_search_jobs_invariant =
 let prop_sa_jobs_invariant =
   QCheck.Test.make ~name:"simulated_annealing identical across jobs" ~count:25
     arbitrary_spec (fun spec ->
-      let eval, candidates = model_of spec in
+      let cspec, candidates = model_of spec in
       let init = List.map (fun (g, options) -> (g, List.hd options)) candidates in
       let run jobs =
-        Dse.Parallel.simulated_annealing ~jobs ~seed:spec.seed ~iterations:64
-          ~eval ~candidates ~init ()
+        Dse.Parallel.simulated_annealing_compiled ~jobs ~seed:spec.seed
+          ~iterations:64 ~spec:cspec ~candidates ~init ()
       in
       let reference = run 1 in
       List.for_all (fun jobs -> same_result reference (run jobs)) jobs_grid)
@@ -155,23 +161,25 @@ let history_invariants (r : Dse.Explore.result) =
 let prop_merged_history_invariants =
   QCheck.Test.make ~name:"merged histories keep tracker invariants" ~count:25
     arbitrary_spec (fun spec ->
-      let eval, candidates = model_of spec in
+      let cspec, candidates = model_of spec in
       let init = List.map (fun (g, options) -> (g, List.hd options)) candidates in
       List.for_all history_invariants
         [
-          Dse.Parallel.exhaustive ~jobs:4 ~eval ~candidates ();
-          Dse.Parallel.random_search ~jobs:4 ~seed:spec.seed ~iterations:100
-            ~eval ~candidates ();
-          Dse.Parallel.simulated_annealing ~jobs:4 ~seed:spec.seed
-            ~iterations:64 ~eval ~candidates ~init ();
+          Dse.Parallel.exhaustive_compiled ~jobs:4 ~spec:cspec ~candidates ();
+          Dse.Parallel.random_search_compiled ~jobs:4 ~seed:spec.seed
+            ~iterations:100 ~spec:cspec ~candidates ();
+          Dse.Parallel.simulated_annealing_compiled ~jobs:4 ~seed:spec.seed
+            ~iterations:64 ~spec:cspec ~candidates ~init ();
         ])
 
 let prop_obs_evaluations_exact =
   QCheck.Test.make ~name:"merged dse.evaluations counter stays exact" ~count:15
     arbitrary_spec (fun spec ->
-      let eval, candidates = model_of spec in
+      let cspec, candidates = model_of spec in
       let obs = Obs.Scope.create () in
-      let result = Dse.Parallel.exhaustive ~obs ~jobs:4 ~eval ~candidates () in
+      let result =
+        Dse.Parallel.exhaustive_compiled ~obs ~jobs:4 ~spec:cspec ~candidates ()
+      in
       let snapshot = Obs.Metrics.snapshot (Obs.Scope.metrics obs) in
       let space =
         match Dse.Explore.space_size candidates with
@@ -185,17 +193,25 @@ let prop_obs_evaluations_exact =
 (* -- fixed-lattice smoke (mirrors the CI check) --------------------------- *)
 
 let test_exhaustive_smoke () =
-  let eval assignment =
-    List.fold_left
-      (fun acc (g, pe) -> acc +. float_of_int (Hashtbl.hash (g, pe) mod 1000))
-      0.0 assignment
+  let cspec, candidates =
+    model_of
+      {
+        n_groups = 6;
+        n_pes = 3;
+        (* Every cycle count is 2 mod 3: all three PEs are candidates. *)
+        cycles = [ 302; 47; 1_001; 8_000; 5; 779 ];
+        speeds = [ 100; 125; 150 ];
+        weights = List.init 36 (fun i -> (i * 7) mod 13);
+        seed = 0;
+      }
   in
-  let candidates =
-    List.init 6 (fun g ->
-        (Printf.sprintf "g%d" g, [ "pe0"; "pe1"; "pe2" ]))
+  let serial =
+    Dse.Explore.exhaustive_compiled
+      ~kernel:(Dse.Compiled.compile cspec ~candidates) ()
   in
-  let serial = Dse.Explore.exhaustive ~eval ~candidates () in
-  let parallel = Dse.Parallel.exhaustive ~jobs:2 ~eval ~candidates () in
+  let parallel =
+    Dse.Parallel.exhaustive_compiled ~jobs:2 ~spec:cspec ~candidates ()
+  in
   check int_t "all 729 points" 729 serial.Dse.Explore.evaluations;
   check bool_t "parallel == serial" true (same_result serial parallel)
 

@@ -305,14 +305,13 @@ let test_injector_inactive_on_empty () =
 
 (* -- end-to-end scenarios ----------------------------------------------- *)
 
-let scenario ?(duration_ms = 20) ?(seed = 1) ?(jobs = 1) plan =
+let scenario ?(duration_ms = 20) ?(seed = 1) plan =
   {
     Tutmac.Scenario.default with
     Tutmac.Scenario.duration_ns =
       Int64.mul (Int64.of_int duration_ms) 1_000_000L;
     faults = plan;
     fault_seed = seed;
-    remap_jobs = jobs;
   }
 
 let run config =
@@ -441,6 +440,42 @@ let test_watchdog_respects_remap_off () =
   check int_t "detected" 1 s.Fault.Stats.watchdog_detections;
   check int_t "but nothing re-mapped" 0 s.Fault.Stats.remapped_processes
 
+(* Where the degradation re-map puts processes, pinned on the CI fault
+   plan: processor2 crashes at 61.3 ms, the 10 ms watchdog declares it
+   dead at 70 ms, and the exhaustive re-map search moves both of its
+   processes to processor3.  The fault golden only counts re-mapped
+   processes and the 50 ms sim golden ends before the crash.  The plan
+   path resolves both under [dune runtest] (cwd _build/default/test)
+   and under [dune exec test/test_fault.exe] from the repo root. *)
+let test_remap_placement_pinned () =
+  let path =
+    match
+      List.find_opt Sys.file_exists
+        [ "../ci/fault_plan.json"; "ci/fault_plan.json" ]
+    with
+    | Some path -> path
+    | None -> Alcotest.fail "ci/fault_plan.json not found"
+  in
+  let plan =
+    match Fault.Plan.of_file path with
+    | Ok plan -> plan
+    | Error e -> Alcotest.fail e
+  in
+  let r = run (scenario ~duration_ms:200 ~seed:42 plan) in
+  let remaps =
+    List.filter
+      (fun line ->
+        String.starts_with ~prefix:"F " line
+        && List.mem "remap" (String.split_on_char ' ' line))
+      (Sim.Trace.to_lines r.Tutmac.Scenario.trace)
+  in
+  check (Alcotest.list string_t) "re-map events"
+    [
+      "F 70000000 remap Tutmac_Protocol.mng processor3";
+      "F 70000000 remap Tutmac_Protocol.rmng processor3";
+    ]
+    remaps
+
 let test_local_signal_faults () =
   let plan =
     {
@@ -462,8 +497,8 @@ let test_local_signal_faults () =
 
 (* The headline robustness guarantee: a (plan, seed) pair replays
    byte-identically — trace, report and fault section — including the
-   DSE-backed re-mapping, at any [remap_jobs]; and distinct seeds give
-   genuinely different schedules. *)
+   DSE-backed re-mapping; and distinct seeds give genuinely different
+   schedules. *)
 let replay_plan =
   {
     Fault.Plan.specs =
@@ -494,11 +529,6 @@ let test_replay_determinism_across_seeds () =
       in
       if once <> again then
         Alcotest.failf "seed %d does not replay bit-identically" seed;
-      let jobs2 =
-        fingerprint (run (scenario ~duration_ms:40 ~seed ~jobs:2 replay_plan))
-      in
-      if once <> jobs2 then
-        Alcotest.failf "seed %d: remap_jobs=2 diverged from serial" seed;
       Hashtbl.replace distinct once ())
     seeds;
   check bool_t
@@ -538,12 +568,14 @@ let () =
           Alcotest.test_case "watchdog + re-mapping" `Quick
             test_watchdog_detects_and_remaps;
           Alcotest.test_case "remap off" `Quick test_watchdog_respects_remap_off;
+          Alcotest.test_case "re-map placement pinned" `Quick
+            test_remap_placement_pinned;
           Alcotest.test_case "local signal faults" `Quick
             test_local_signal_faults;
         ] );
       ( "replay",
         [
-          Alcotest.test_case "50 seeds, jobs 1 and 2" `Slow
+          Alcotest.test_case "50-seed sweep replays bit-identically" `Slow
             test_replay_determinism_across_seeds;
         ] );
     ]
