@@ -933,7 +933,7 @@ let bench_obs () =
    perf smoke).  Two measurements plus the gates:
 
    - end-to-end: the TUTMAC scenario under both EFSM engines, both on
-     the arena trace store and the calendar event queue; per-engine
+     the packed trace store and the calendar event queue; per-engine
      minor words/event and events/sec, and the reference/compiled wall
      time ratio from alternating back-to-back pairs.  Gates: both traces
      must render byte-identically, and the compiled cell must stay

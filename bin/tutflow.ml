@@ -1140,16 +1140,38 @@ let wlan_cmd =
     Arg.(value & opt int 1 & info [ "seed" ] ~docv:"N" ~doc)
   in
   let mix_arg =
+    (* Checked while parsing: an empty item (so also an empty list) or an
+       unknown class is a usage error naming the option. *)
+    let parse spec =
+      let rec go acc = function
+        | [] -> Ok (List.rev acc)
+        | item :: rest -> (
+          match String.trim item with
+          | "" -> Error (`Msg (Printf.sprintf "empty traffic class in %S" spec))
+          | name -> (
+            match Tutmac.Workload.profile_of_name name with
+            | Some p -> go (p :: acc) rest
+            | None -> Error (`Msg (Printf.sprintf "unknown traffic class %S" name))))
+      in
+      go [] (String.split_on_char ',' spec)
+    in
+    let print ppf mix =
+      Format.pp_print_string ppf
+        (String.concat "," (List.map Tutmac.Workload.profile_name mix))
+    in
     let doc =
       "Comma-separated traffic classes terminals cycle over: cbr, bursty, \
        video."
     in
-    Arg.(value & opt string "cbr,bursty,video" & info [ "mix" ] ~docv:"MIX" ~doc)
+    Arg.(
+      value
+      & opt (conv (parse, print)) Tutmac.Workload.default_mix
+      & info [ "mix" ] ~docv:"MIX" ~doc)
   in
   let churn_arg =
     let doc =
       "Scripted churn: comma-separated TERMINAL@LEAVE_MS[-REJOIN_MS] items, \
-       e.g. 4\\@200-800,5\\@300."
+       e.g. 4@200-800,5@300."
     in
     Arg.(value & opt string "" & info [ "churn" ] ~docv:"SPEC" ~doc)
   in
@@ -1173,26 +1195,11 @@ let wlan_cmd =
   in
   let run duration_ms terminals slot_ns seed mix churn max_retries faults
       fault_seed jobs format log chrome_trace metrics_out =
-    let mix_or_err =
-      let names =
-        List.filter
-          (fun s -> s <> "")
-          (List.map String.trim (String.split_on_char ',' mix))
-      in
-      let rec go acc = function
-        | [] -> Ok (List.rev acc)
-        | name :: rest -> (
-          match Tutmac.Workload.profile_of_name name with
-          | Some p -> go (p :: acc) rest
-          | None -> Error (Printf.sprintf "mix: unknown traffic class %S" name))
-      in
-      go [] names
-    in
-    match mix_or_err, Tutmac.Wlan.churn_of_string churn with
-    | Error e, _ | _, Error e ->
+    match Tutmac.Wlan.churn_of_string churn with
+    | Error e ->
       prerr_endline ("wlan: " ^ e);
       1
-    | Ok mix, Ok churn -> (
+    | Ok churn -> (
       let obs = obs_of ~chrome_trace ~metrics_out () in
       let config =
         {

@@ -9,7 +9,7 @@
    left out, so states differing only in dead counters merge into one
    representative.
 
-   The state store.  Each new state is written once as a {!Varint}
+   The state store.  Each new state is written once as a {!Sim.Varint}
    record — its key length, its key, then (with the cone of influence
    on) its concrete state — into append-only 1 MiB byte chunks, which
    are never copied and which the GC never scans; a record never
@@ -274,7 +274,7 @@ let[@inline] mix h x = (h lxor x) * fnv_prime
 
 (* Append [x] to [out] and fold it into hash [h]. *)
 let[@inline] emit out h x =
-  Varint.add out x;
+  Sim.Varint.add out x;
   mix h x
 
 (* Instance [ix]'s segment of the canonical key into [out]; returns its
@@ -328,12 +328,12 @@ let encode_budgets w out h =
 
 let decode_inst w ix r =
   let ex = w.execs.(ix) in
-  Efsm.Compiled.set_state_id ex (Varint.read r);
+  Efsm.Compiled.set_state_id ex (Sim.Varint.read r);
   for v = 0 to w.n_vars.(ix) - 1 do
-    let tag = Varint.read r in
-    Efsm.Compiled.set_var_raw ex v tag (Varint.read r)
+    let tag = Sim.Varint.read r in
+    Efsm.Compiled.set_var_raw ex v tag (Sim.Varint.read r)
   done;
-  let len = Varint.read r in
+  let len = Sim.Varint.read r in
   w.q_len.(ix) <- 0;
   ensure_slots w ix len;
   w.q_head.(ix) <- 0;
@@ -341,11 +341,11 @@ let decode_inst w ix r =
   let ring = w.rings.(ix) in
   for k = 0 to len - 1 do
     let at = k * w.slot in
-    ring.(at) <- Varint.read r;
-    let argc = Varint.read r in
+    ring.(at) <- Sim.Varint.read r;
+    let argc = Sim.Varint.read r in
     ring.(at + 1) <- argc;
     for j = at + 2 to at + 1 + (2 * argc) do
-      ring.(j) <- Varint.read r
+      ring.(j) <- Sim.Varint.read r
     done
   done
 
@@ -368,7 +368,7 @@ type store = {
   (* visited set: pairs of a record location ([-1] = free) and its key
      hash, so a probe reads one cache line before it reads the record *)
   mutable table : int array;
-  rd : Varint.reader;
+  rd : Sim.Varint.reader;
 }
 
 let store_create () =
@@ -382,7 +382,7 @@ let store_create () =
     depth = Array.make 1024 0;
     count = 0;
     table = Array.make (2 * 4096) (-1);
-    rd = Varint.reader ();
+    rd = Sim.Varint.reader ();
   }
 
 let chunk_of st loc = st.chunks.(loc lsr chunk_bits)
@@ -402,8 +402,9 @@ let rec same_bytes a b off i n =
    influence on) its concrete state. *)
 let same_key st loc key klen =
   let chunk = chunk_of st loc in
-  Varint.seek st.rd chunk (offset_of loc);
-  Varint.read st.rd = klen && same_bytes key chunk (Varint.pos st.rd) 0 klen
+  Sim.Varint.seek st.rd chunk (offset_of loc);
+  Sim.Varint.read st.rd = klen
+  && same_bytes key chunk (Sim.Varint.pos st.rd) 0 klen
 
 (* Whether the key in [key] (its first [klen] bytes, hash [h]) is
    stored, as [1]; otherwise [-(slot + 1)] for the free slot where it
@@ -467,17 +468,17 @@ let reserve st len =
    the record's length prefix; [concrete] is given when the key omits
    slots. *)
 let store_add st ~slot ~head ~key ~h ~concrete parent via depth =
-  let klen = Varint.length key in
-  Varint.clear head;
-  Varint.add head klen;
-  let hlen = Varint.length head in
-  let clen = match concrete with Some c -> Varint.length c | None -> 0 in
+  let klen = Sim.Varint.length key in
+  Sim.Varint.clear head;
+  Sim.Varint.add head klen;
+  let hlen = Sim.Varint.length head in
+  let clen = match concrete with Some c -> Sim.Varint.length c | None -> 0 in
   reserve st (hlen + klen + clen);
   let chunk = st.chunks.(st.n_chunks - 1) and at = st.fill in
-  Bytes.blit (Varint.bytes head) 0 chunk at hlen;
-  Bytes.blit (Varint.bytes key) 0 chunk (at + hlen) klen;
+  Bytes.blit (Sim.Varint.bytes head) 0 chunk at hlen;
+  Bytes.blit (Sim.Varint.bytes key) 0 chunk (at + hlen) klen;
   (match concrete with
-  | Some c -> Bytes.blit (Varint.bytes c) 0 chunk (at + hlen + klen) clen
+  | Some c -> Bytes.blit (Sim.Varint.bytes c) 0 chunk (at + hlen + klen) clen
   | None -> ());
   if st.count = Array.length st.loc then grow_ids st;
   let id = st.count in
@@ -505,12 +506,12 @@ let schedule_to st id extra =
 (* The loaded state: where its concrete segments sit in the store, its
    key re-encoded per instance, and its budget counters. *)
 type cursor = {
-  r : Varint.reader;
+  r : Sim.Varint.reader;
   mutable src : Bytes.t;
   inst_off : int array;
       (** per instance its concrete segment's offset in [src], then the
           budgets' *)
-  key : Varint.writer;  (** the key's instance segments, budgets left out *)
+  key : Sim.Varint.writer;  (** the key's instance segments, budgets left out *)
   key_off : int array;  (** per instance its segment's offset, then the end *)
   seg_hash : int array;
   saved_timer : int array;
@@ -520,10 +521,10 @@ type cursor = {
 let cursor (net : Net.t) =
   let n = Net.n_insts net in
   {
-    r = Varint.reader ();
+    r = Sim.Varint.reader ();
     src = Bytes.empty;
     inst_off = Array.make (n + 1) 0;
-    key = Varint.writer ();
+    key = Sim.Varint.writer ();
     key_off = Array.make (n + 1) 0;
     seg_hash = Array.make n 0;
     saved_timer = Array.make n 0;
@@ -537,23 +538,24 @@ let load coi st c w id =
   let loc = st.loc.(id) in
   let n = Array.length w.execs in
   c.src <- chunk_of st loc;
-  Varint.seek c.r c.src (offset_of loc);
-  let klen = Varint.read c.r in
-  if Option.is_some coi then Varint.seek c.r c.src (Varint.pos c.r + klen);
-  Varint.clear c.key;
+  Sim.Varint.seek c.r c.src (offset_of loc);
+  let klen = Sim.Varint.read c.r in
+  if Option.is_some coi then
+    Sim.Varint.seek c.r c.src (Sim.Varint.pos c.r + klen);
+  Sim.Varint.clear c.key;
   for ix = 0 to n - 1 do
-    c.inst_off.(ix) <- Varint.pos c.r;
+    c.inst_off.(ix) <- Sim.Varint.pos c.r;
     decode_inst w ix c.r;
-    c.key_off.(ix) <- Varint.length c.key;
+    c.key_off.(ix) <- Sim.Varint.length c.key;
     c.seg_hash.(ix) <- encode_inst_key coi w ix c.key
   done;
-  c.inst_off.(n) <- Varint.pos c.r;
-  c.key_off.(n) <- Varint.length c.key;
+  c.inst_off.(n) <- Sim.Varint.pos c.r;
+  c.key_off.(n) <- Sim.Varint.length c.key;
   for i = 0 to Array.length w.timer_left - 1 do
-    w.timer_left.(i) <- Varint.read c.r
+    w.timer_left.(i) <- Sim.Varint.read c.r
   done;
   for e = 0 to Array.length w.env_left - 1 do
-    w.env_left.(e) <- Varint.read c.r
+    w.env_left.(e) <- Sim.Varint.read c.r
   done;
   Array.blit w.timer_left 0 c.saved_timer 0 (Array.length w.timer_left);
   Array.blit w.env_left 0 c.saved_env 0 (Array.length w.env_left);
@@ -564,7 +566,7 @@ let load coi st c w id =
 let restore c w =
   for t = 0 to w.n_touched - 1 do
     let ix = w.touched.(t) in
-    Varint.seek c.r c.src c.inst_off.(ix);
+    Sim.Varint.seek c.r c.src c.inst_off.(ix);
     decode_inst w ix c.r
   done;
   untouch_all w;
@@ -574,15 +576,15 @@ let restore c w =
 (* Append the bytes of segments [from, upto) of [src], whose offsets
    are in [offs]. *)
 let copy_segments out src offs from upto =
-  Varint.append out src offs.(from) (offs.(upto) - offs.(from))
+  Sim.Varint.append out src offs.(from) (offs.(upto) - offs.(from))
 
 (* The world's key into [out], returning its hash: the loaded state's
    segment for every instance the step left alone, a fresh one for each
    instance it touched. *)
 let successor_key coi c w out =
-  Varint.clear out;
+  Sim.Varint.clear out;
   let n = Array.length w.execs in
-  let keep = Varint.bytes c.key in
+  let keep = Sim.Varint.bytes c.key in
   let h = ref fnv_basis and from = ref 0 in
   for ix = 0 to n - 1 do
     if w.marked.(ix) then begin
@@ -601,7 +603,7 @@ let successor_key coi c w out =
 
 (* The world's concrete record into [out], the same way. *)
 let successor_concrete c w out =
-  Varint.clear out;
+  Sim.Varint.clear out;
   let n = Array.length w.execs in
   let from = ref 0 in
   for ix = 0 to n - 1 do
@@ -768,9 +770,9 @@ let run ?(config = default_config) (net : Net.t) =
   let n = Net.n_insts net in
   let st = store_create () in
   let w = fresh_world net cfg.budget in
-  let key = Varint.writer () and head = Varint.writer () in
+  let key = Sim.Varint.writer () and head = Sim.Varint.writer () in
   (* with the cone of influence off the key is the concrete state *)
-  let concrete = if cfg.coi then Some (Varint.writer ()) else None in
+  let concrete = if cfg.coi then Some (Sim.Varint.writer ()) else None in
   let cursor = cursor net in
   let steps_buf = Array.make ((2 * n) + Array.length net.Net.env_inputs) 0 in
   (* coverage marks *)
@@ -852,7 +854,7 @@ let run ?(config = default_config) (net : Net.t) =
        touch w ix
      done;
      let h = successor_key coi cursor w key in
-     let slot = -(find st (Varint.bytes key) (Varint.length key) h) - 1 in
+     let slot = -(find st (Sim.Varint.bytes key) (Sim.Varint.length key) h) - 1 in
      ignore (add_state ~slot ~h (-1) 0 0);
      match blocked () with
      | [] -> ()
@@ -891,7 +893,7 @@ let run ?(config = default_config) (net : Net.t) =
         | fired -> (
           (match fired with Some tr -> mark_fired (code / 3) tr | None -> ());
           let h = successor_key coi cursor w key in
-          let found = find st (Varint.bytes key) (Varint.length key) h in
+          let found = find st (Sim.Varint.bytes key) (Sim.Varint.length key) h in
           if found >= 0 then incr dedup
           else if st.count >= cfg.budget.max_states then begin
             truncated := true;

@@ -1,59 +1,14 @@
-(* Growable ring buffer used for per-process signal mailboxes.
+(* Growable ring buffers for per-process signal mailboxes.
 
-   FIFO like [Queue], but enqueue/dequeue touch a preallocated array
+   FIFO like [Queue], but enqueue/dequeue touch preallocated arrays
    instead of allocating a cell per element — signal delivery is the
-   simulation's hot path.  Popped slots are overwritten with the dummy
-   so the buffer never retains references to handled events. *)
+   simulation's hot path.  Popped payload slots are overwritten with the
+   dummy so the buffer never retains references to handled events. *)
 
-type 'a t = {
-  mutable buf : 'a array;
-  mutable head : int;  (** index of the oldest element *)
-  mutable len : int;
-  mutable high_water : int;
-  dummy : 'a;
-}
-
-let create ?(capacity = 16) ~dummy () =
-  let rec pow2 n = if n >= capacity then n else pow2 (2 * n) in
-  { buf = Array.make (pow2 8) dummy; head = 0; len = 0; high_water = 0; dummy }
-
-let length t = t.len
-let is_empty t = t.len = 0
-let high_water t = t.high_water
-
-let grow t =
-  let cap = Array.length t.buf in
-  let bigger = Array.make (2 * cap) t.dummy in
-  for i = 0 to t.len - 1 do
-    bigger.(i) <- t.buf.((t.head + i) land (cap - 1))
-  done;
-  t.buf <- bigger;
-  t.head <- 0
-
-let push t v =
-  if t.len = Array.length t.buf then grow t;
-  t.buf.((t.head + t.len) land (Array.length t.buf - 1)) <- v;
-  t.len <- t.len + 1;
-  if t.len > t.high_water then t.high_water <- t.len
-
-let pop t =
-  if t.len = 0 then invalid_arg "Sim.Mailbox.pop: empty";
-  let v = t.buf.(t.head) in
-  t.buf.(t.head) <- t.dummy;
-  t.head <- (t.head + 1) land (Array.length t.buf - 1);
-  t.len <- t.len - 1;
-  v
-
-let clear t =
-  while t.len > 0 do
-    ignore (pop t)
-  done;
-  t.high_water <- 0
-
-(* Flat rings: same discipline, but each entry is three plain-int
-   fields plus one boxed payload spread over four parallel columns, so
-   pending signals need no per-entry record.  Field reads ([head_a] ..)
-   are separate calls to keep pops tuple-free. *)
+(* Each entry is three plain-int fields plus one boxed payload spread
+   over four parallel columns, so pending signals need no per-entry
+   record.  Field reads ([head_a] ..) are separate calls to keep pops
+   tuple-free. *)
 module Flat = struct
   type 'a t = {
     mutable a : int array;

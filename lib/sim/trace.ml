@@ -28,11 +28,20 @@ type event =
 
 type backend = Arena
 
-(* Event kinds, one per log-line letter.  The arena is a struct-of-
-   arrays: one int column per field slot, a byte per kind, string
-   fields replaced by interned ids.  Appending is therefore a handful
-   of array stores — no per-event heap record — and the textual line is
-   only rendered when someone asks for it. *)
+(* The store.  Each event is one record of {!Varint} values: its kind,
+   its time as a delta from the previous record's time, then only the
+   fields its kind uses, strings as interned ids.  A kind value takes
+   one byte, and so do most deltas, ids and small counts.  Records go
+   into append-only [Bytes] chunks, which are never copied and which
+   the GC never scans: the first holds 4 KiB, each next one twice as
+   much up to 1 MiB.  A record never straddles two chunks; a chunk with
+   no room for one more worst-case record ends with [k_next].
+
+   Every [block]th record takes its time delta from 0 instead, and a
+   sparse index holds where it starts, so decoding can begin at any
+   multiple of [block] without the records before it.  Times wrap
+   modulo 2^63 on both sides of the delta, so any native int survives,
+   backward steps included. *)
 let k_exec = 0
 let k_signal = 1
 let k_state = 2
@@ -40,42 +49,88 @@ let k_discard = 3
 let k_fault = 4
 let k_retransmit = 5
 let k_flow = 6
+let k_next = 7 (* the rest of this chunk is unused; go on at the next *)
+
+let block_bits = 6
+let block = 1 lsl block_bits
+let offset_bits = 20
+let first_chunk = 4096
+let last_chunk = 1 lsl offset_bits
+
+(* Kind, time and five fields, then room for [k_next]. *)
+let max_record = (7 * Varint.max_width) + 1
+
+(* Fields after the time, per kind. *)
+let arity = [| 2; 5; 3; 2; 3; 4; 4 |]
+
+(* A decoding position and the record it decoded last: [v.(0)] is the
+   time delta, [v.(1)] .. the fields.  Decoding writes into these, so it
+   allocates nothing per record. *)
+type cursor = {
+  r : Varint.reader;
+  mutable chunk : int;  (* the chunk [r] reads *)
+  mutable next : int;  (* the record at [r]; [max_int] before any seek *)
+  mutable kind : int;
+  mutable time : int;
+  v : int array;
+}
+
+(* The aggregations of the first [upto] records. *)
+type summary = {
+  upto : int;
+  cycles : (string * int64) list;
+  signals : ((string * string) * int) list;
+  discards : (string * int) list;
+}
 
 type t = {
   (* String interning: ids handed out by [intern] index [strs]. *)
   tbl : (string, int) Hashtbl.t;
   mutable strs : string array;
   mutable nstrs : int;
-  (* Arena columns.  [time] doubles as the capacity witness; [f0..f4]
-     hold per-kind fields (ids, counts, durations) as plain ints. *)
+  mutable chunks : Bytes.t array;
+  mutable nchunks : int;
+  mutable buf : Bytes.t;  (* [chunks.(nchunks - 1)], the one being written *)
+  mutable pos : int;  (* write offset in [buf] *)
   mutable n : int;
-  mutable kind : Bytes.t;
-  mutable time : int array;
-  mutable f0 : int array;
-  mutable f1 : int array;
-  mutable f2 : int array;
-  mutable f3 : int array;
-  mutable f4 : int array;
+  mutable last : int;  (* time of record [n - 1] *)
+  (* Start of record [b * block] at [b]: chunk lsl offset_bits lor offset. *)
+  mutable index : int array;
   (* Rare int64 values outside the native-int range keep full fidelity
      here, keyed by event index; checked only when non-empty. *)
   overflow : (int, event) Hashtbl.t;
+  (* [get]'s cursor, kept between calls so that reading the log in
+     order decodes each record once. *)
+  at : cursor;
+  mutable summary : summary option;
 }
 
+let cursor () =
+  {
+    r = Varint.reader ();
+    chunk = 0;
+    next = max_int;
+    kind = 0;
+    time = 0;
+    v = Array.make 6 0;
+  }
+
 let create ?backend:(_ : backend option) () =
-  let cap = 256 in
+  let buf = Bytes.create first_chunk in
   {
     tbl = Hashtbl.create 64;
     strs = Array.make 64 "";
     nstrs = 0;
+    chunks = Array.make 8 buf;
+    nchunks = 1;
+    buf;
+    pos = 0;
     n = 0;
-    kind = Bytes.make cap '\000';
-    time = Array.make cap 0;
-    f0 = Array.make cap 0;
-    f1 = Array.make cap 0;
-    f2 = Array.make cap 0;
-    f3 = Array.make cap 0;
-    f4 = Array.make cap 0;
+    last = 0;
+    index = Array.make 16 0;
     overflow = Hashtbl.create 1;
+    at = cursor ();
+    summary = None;
   }
 
 let intern t s =
@@ -95,156 +150,242 @@ let intern t s =
 
 let interned t id = t.strs.(id)
 
-let grow t =
-  let cap = Array.length t.time in
-  let cap' = 2 * cap in
-  let extend a =
-    let a' = Array.make cap' 0 in
-    Array.blit a 0 a' 0 cap;
-    a'
+(* ---- writing ------------------------------------------------------------ *)
+
+let next_chunk t =
+  ignore (Varint.write t.buf t.pos k_next);
+  let buf = Bytes.create (min last_chunk (2 * Bytes.length t.buf)) in
+  if t.nchunks = Array.length t.chunks then begin
+    let chunks = Array.make (2 * t.nchunks) buf in
+    Array.blit t.chunks 0 chunks 0 t.nchunks;
+    t.chunks <- chunks
+  end;
+  t.chunks.(t.nchunks) <- buf;
+  t.nchunks <- t.nchunks + 1;
+  t.buf <- buf;
+  t.pos <- 0
+
+(* Index record [t.n], which starts a block, at the write offset. *)
+let mark_block t =
+  let b = t.n lsr block_bits in
+  if b = Array.length t.index then begin
+    let index = Array.make (2 * b) 0 in
+    Array.blit t.index 0 index 0 b;
+    t.index <- index
+  end;
+  t.index.(b) <- ((t.nchunks - 1) lsl offset_bits) lor t.pos
+
+(* A record's kind and time; the caller [put]s its fields. *)
+let start t kind time =
+  if t.pos + max_record > Bytes.length t.buf then next_chunk t;
+  let base =
+    if t.n land (block - 1) = 0 then begin
+      mark_block t;
+      0
+    end
+    else t.last
   in
-  let kind' = Bytes.make cap' '\000' in
-  Bytes.blit t.kind 0 kind' 0 cap;
-  t.kind <- kind';
-  t.time <- extend t.time;
-  t.f0 <- extend t.f0;
-  t.f1 <- extend t.f1;
-  t.f2 <- extend t.f2;
-  t.f3 <- extend t.f3;
-  t.f4 <- extend t.f4
+  t.n <- t.n + 1;
+  t.last <- time;
+  t.pos <- Varint.write t.buf (Varint.write t.buf t.pos kind) (time - base)
 
-let[@inline] push t k time f0 f1 f2 f3 f4 =
-  if t.n = Array.length t.time then grow t;
-  let i = t.n in
-  Bytes.unsafe_set t.kind i (Char.unsafe_chr k);
-  Array.unsafe_set t.time i time;
-  Array.unsafe_set t.f0 i f0;
-  Array.unsafe_set t.f1 i f1;
-  Array.unsafe_set t.f2 i f2;
-  Array.unsafe_set t.f3 i f3;
-  Array.unsafe_set t.f4 i f4;
-  t.n <- i + 1
-
-let fits x = Int64.equal (Int64.of_int (Int64.to_int x)) x
-
-let record t event =
-  let i = t.n in
-  (match event with
-  | Exec { time; process; cycles } ->
-    push t k_exec (Int64.to_int time) (intern t process) (Int64.to_int cycles)
-      0 0 0;
-    if not (fits time && fits cycles) then Hashtbl.replace t.overflow i event
-  | Signal { time; sender; receiver; signal; words; tag } ->
-    push t k_signal (Int64.to_int time) (intern t sender) (intern t receiver)
-      (intern t signal) words tag;
-    if not (fits time) then Hashtbl.replace t.overflow i event
-  | State_change { time; process; from_; to_ } ->
-    push t k_state (Int64.to_int time) (intern t process) (intern t from_)
-      (intern t to_) 0 0;
-    if not (fits time) then Hashtbl.replace t.overflow i event
-  | Discard { time; process; signal } ->
-    push t k_discard (Int64.to_int time) (intern t process) (intern t signal) 0
-      0 0;
-    if not (fits time) then Hashtbl.replace t.overflow i event
-  | Fault { time; kind; target; info } ->
-    push t k_fault (Int64.to_int time) (intern t kind) (intern t target)
-      (intern t info) 0 0;
-    if not (fits time) then Hashtbl.replace t.overflow i event
-  | Retransmit { time; sender; receiver; signal; attempt } ->
-    push t k_retransmit (Int64.to_int time) (intern t sender)
-      (intern t receiver) (intern t signal) attempt 0;
-    if not (fits time) then Hashtbl.replace t.overflow i event
-  | Flow_hop { time; flow; stage; where_; dur } ->
-    push t k_flow (Int64.to_int time) flow (intern t stage) (intern t where_)
-      (Int64.to_int dur) 0;
-    if not (fits time && fits dur) then Hashtbl.replace t.overflow i event)
+let[@inline] put t x = t.pos <- Varint.write t.buf t.pos x
 
 (* Unboxed hot-path appenders: times and durations are plain int ns,
    strings are pre-interned ids. *)
 
-let record_exec t ~time ~process ~cycles = push t k_exec time process cycles 0 0 0
+let record_exec t ~time ~process ~cycles =
+  start t k_exec time;
+  put t process;
+  put t cycles
 
 let record_signal t ~time ~sender ~receiver ~signal ~words ~tag =
-  push t k_signal time sender receiver signal words tag
+  start t k_signal time;
+  put t sender;
+  put t receiver;
+  put t signal;
+  put t words;
+  put t tag
 
 let record_state_change t ~time ~process ~from_ ~to_ =
-  push t k_state time process from_ to_ 0 0
+  start t k_state time;
+  put t process;
+  put t from_;
+  put t to_
 
 let record_discard t ~time ~process ~signal =
-  push t k_discard time process signal 0 0 0
+  start t k_discard time;
+  put t process;
+  put t signal
+
+let record_fault t ~time ~kind ~target ~info =
+  start t k_fault time;
+  put t kind;
+  put t target;
+  put t info
 
 let record_retransmit t ~time ~sender ~receiver ~signal ~attempt =
-  push t k_retransmit time sender receiver signal attempt 0
+  start t k_retransmit time;
+  put t sender;
+  put t receiver;
+  put t signal;
+  put t attempt
 
 let record_flow_hop t ~time ~flow ~stage ~where_ ~dur =
-  push t k_flow time flow stage where_ dur 0
+  start t k_flow time;
+  put t flow;
+  put t stage;
+  put t where_;
+  put t dur
+
+let fits x = Int64.equal (Int64.of_int (Int64.to_int x)) x
+
+let record t event =
+  let i = t.n and to_int = Int64.to_int in
+  let exact =
+    match event with
+    | Exec { time; process; cycles } ->
+      record_exec t ~time:(to_int time) ~process:(intern t process)
+        ~cycles:(to_int cycles);
+      fits time && fits cycles
+    | Signal { time; sender; receiver; signal; words; tag } ->
+      record_signal t ~time:(to_int time) ~sender:(intern t sender)
+        ~receiver:(intern t receiver) ~signal:(intern t signal) ~words ~tag;
+      fits time
+    | State_change { time; process; from_; to_ } ->
+      record_state_change t ~time:(to_int time) ~process:(intern t process)
+        ~from_:(intern t from_) ~to_:(intern t to_);
+      fits time
+    | Discard { time; process; signal } ->
+      record_discard t ~time:(to_int time) ~process:(intern t process)
+        ~signal:(intern t signal);
+      fits time
+    | Fault { time; kind; target; info } ->
+      record_fault t ~time:(to_int time) ~kind:(intern t kind)
+        ~target:(intern t target) ~info:(intern t info);
+      fits time
+    | Retransmit { time; sender; receiver; signal; attempt } ->
+      record_retransmit t ~time:(to_int time) ~sender:(intern t sender)
+        ~receiver:(intern t receiver) ~signal:(intern t signal) ~attempt;
+      fits time
+    | Flow_hop { time; flow; stage; where_; dur } ->
+      record_flow_hop t ~time:(to_int time) ~flow ~stage:(intern t stage)
+        ~where_:(intern t where_) ~dur:(to_int dur);
+      fits time && fits dur
+  in
+  if not exact then Hashtbl.replace t.overflow i event
 
 let length t = t.n
 
-let clear t =
-  t.n <- 0;
-  Hashtbl.reset t.overflow
+(* ---- reading ------------------------------------------------------------ *)
 
-(* Decoding an arena row back into the [event] view. *)
-let decode_cols t i =
-  let s id = Array.unsafe_get t.strs id in
-  let time = Int64.of_int (Array.unsafe_get t.time i) in
-  let f0 = Array.unsafe_get t.f0 i in
-  let f1 = Array.unsafe_get t.f1 i in
-  let f2 = Array.unsafe_get t.f2 i in
-  let f3 = Array.unsafe_get t.f3 i in
-  match Char.code (Bytes.unsafe_get t.kind i) with
-  | 0 -> Exec { time; process = s f0; cycles = Int64.of_int f1 }
-  | 1 ->
-    Signal
-      {
-        time;
-        sender = s f0;
-        receiver = s f1;
-        signal = s f2;
-        words = f3;
-        tag = Array.unsafe_get t.f4 i;
-      }
-  | 2 -> State_change { time; process = s f0; from_ = s f1; to_ = s f2 }
-  | 3 -> Discard { time; process = s f0; signal = s f1 }
-  | 4 -> Fault { time; kind = s f0; target = s f1; info = s f2 }
-  | 5 ->
-    Retransmit
-      { time; sender = s f0; receiver = s f1; signal = s f2; attempt = f3 }
-  | _ ->
-    Flow_hop { time; flow = f0; stage = s f1; where_ = s f2; dur = Int64.of_int f3 }
+(* Point [c] at the first record of block [b]. *)
+let seek t c b =
+  let loc = t.index.(b) in
+  c.chunk <- loc lsr offset_bits;
+  Varint.seek c.r t.chunks.(c.chunk) (loc land (last_chunk - 1));
+  c.next <- b lsl block_bits
 
-let decode t i =
-  if Hashtbl.length t.overflow = 0 then decode_cols t i
-  else
-    match Hashtbl.find_opt t.overflow i with
-    | Some event -> event
-    | None -> decode_cols t i
+(* Decode the record at [c] and step past it. *)
+let advance t c =
+  let kind =
+    let k = Varint.read c.r in
+    if k <> k_next then k
+    else begin
+      c.chunk <- c.chunk + 1;
+      Varint.seek c.r t.chunks.(c.chunk) 0;
+      Varint.read c.r
+    end
+  in
+  Varint.read_into c.r c.v (1 + arity.(kind));
+  c.time <- (if c.next land (block - 1) = 0 then c.v.(0) else c.time + c.v.(0));
+  c.kind <- kind;
+  c.next <- c.next + 1
+
+(* A cursor at the first record. *)
+let first t =
+  let c = cursor () in
+  if t.n > 0 then seek t c 0;
+  c
+
+(* The record [c] decoded last, as an [event]. *)
+let event t c =
+  let overflowed =
+    if Hashtbl.length t.overflow = 0 then None
+    else Hashtbl.find_opt t.overflow (c.next - 1)
+  in
+  match overflowed with
+  | Some event -> event
+  | None -> (
+    let strs = t.strs and v = c.v and time = Int64.of_int c.time in
+    match c.kind with
+    | 0 -> Exec { time; process = strs.(v.(1)); cycles = Int64.of_int v.(2) }
+    | 1 ->
+      Signal
+        {
+          time;
+          sender = strs.(v.(1));
+          receiver = strs.(v.(2));
+          signal = strs.(v.(3));
+          words = v.(4);
+          tag = v.(5);
+        }
+    | 2 ->
+      State_change
+        { time; process = strs.(v.(1)); from_ = strs.(v.(2)); to_ = strs.(v.(3)) }
+    | 3 -> Discard { time; process = strs.(v.(1)); signal = strs.(v.(2)) }
+    | 4 -> Fault { time; kind = strs.(v.(1)); target = strs.(v.(2)); info = strs.(v.(3)) }
+    | 5 ->
+      Retransmit
+        {
+          time;
+          sender = strs.(v.(1));
+          receiver = strs.(v.(2));
+          signal = strs.(v.(3));
+          attempt = v.(4);
+        }
+    | _ ->
+      Flow_hop
+        {
+          time;
+          flow = v.(1);
+          stage = strs.(v.(2));
+          where_ = strs.(v.(3));
+          dur = Int64.of_int v.(4);
+        })
 
 let iter t f =
-  for i = 0 to t.n - 1 do
-    f (decode t i)
+  let c = first t in
+  for _ = 1 to t.n do
+    advance t c;
+    f (event t c)
   done
 
 let fold t init f =
-  let acc = ref init in
-  for i = 0 to t.n - 1 do
-    acc := f !acc (decode t i)
+  let c = first t and acc = ref init in
+  for _ = 1 to t.n do
+    advance t c;
+    acc := f !acc (event t c)
   done;
   !acc
 
-let events t = List.init t.n (fun i -> decode t i)
+let events t = List.rev (fold t [] (fun acc event -> event :: acc))
 
 let get t i =
   if i < 0 || i >= t.n then invalid_arg "Sim.Trace.get";
-  decode t i
+  let c = t.at in
+  if i < c.next || i - c.next >= block then seek t c (i lsr block_bits);
+  while c.next <= i do
+    advance t c
+  done;
+  event t c
 
-(* The aggregations below have two implementations: a column scan (no
-   per-event decode, accumulators indexed by interned id) and a generic
-   [iter]-based fallback for traces holding out-of-range int64 rows (the
-   overflow table keeps the exact values, so the generic path must
-   decode).  Both orders of summation are over ints, so the results are
-   identical. *)
+(* The three aggregations come from one scan of the records, which
+   accumulates by interned id and builds no [event]; it is kept until
+   the next append, so a report asking for all three decodes the log
+   once.  Ids are exact on every record, so only the cycles of a log
+   with out-of-range int64 rows come from decoded events: the overflow
+   table holds the exact values. *)
 
 let total_cycles_generic t =
   let table = Hashtbl.create 16 in
@@ -260,88 +401,60 @@ let total_cycles_generic t =
   Hashtbl.fold (fun process cycles acc -> (process, cycles) :: acc) table []
   |> List.sort compare
 
-let total_cycles t =
-  if Hashtbl.length t.overflow > 0 then total_cycles_generic t
-  else begin
-    let cycles = Array.make (max 1 t.nstrs) 0 in
-    let seen = Array.make (max 1 t.nstrs) false in
-    for i = 0 to t.n - 1 do
-      if Bytes.unsafe_get t.kind i = '\000' (* k_exec *) then begin
-        let id = Array.unsafe_get t.f0 i in
-        cycles.(id) <- cycles.(id) + Array.unsafe_get t.f1 i;
-        seen.(id) <- true
-      end
-    done;
+let summarise t =
+  let m = max 1 t.nstrs in
+  let cycles = Array.make m 0 and seen = Array.make m false in
+  let discards = Array.make m 0 in
+  (* (sender, receiver) packs into one immediate int key; [nstrs] is
+     fixed during the scan (no interning happens here) *)
+  let pairs = Hashtbl.create 16 in
+  let c = first t in
+  for _ = 1 to t.n do
+    advance t c;
+    let id = c.v.(1) in
+    if c.kind = k_exec then begin
+      cycles.(id) <- cycles.(id) + c.v.(2);
+      seen.(id) <- true
+    end
+    else if c.kind = k_signal then begin
+      let key = (id * m) + c.v.(2) in
+      match Hashtbl.find pairs key with
+      | r -> incr r
+      | exception Not_found -> Hashtbl.add pairs key (ref 1)
+    end
+    else if c.kind = k_discard then discards.(id) <- discards.(id) + 1
+  done;
+  let by_id keep value =
     let acc = ref [] in
     for id = t.nstrs - 1 downto 0 do
-      if seen.(id) then
-        acc := (t.strs.(id), Int64.of_int cycles.(id)) :: !acc
+      if keep id then acc := (t.strs.(id), value id) :: !acc
     done;
     List.sort compare !acc
-  end
+  in
+  {
+    upto = t.n;
+    cycles =
+      (if Hashtbl.length t.overflow > 0 then total_cycles_generic t
+       else by_id (Array.get seen) (fun id -> Int64.of_int cycles.(id)));
+    signals =
+      Hashtbl.fold
+        (fun key r acc -> ((t.strs.(key / m), t.strs.(key mod m)), !r) :: acc)
+        pairs []
+      |> List.sort compare;
+    discards = by_id (fun id -> discards.(id) > 0) (Array.get discards);
+  }
 
-let signal_counts_generic t =
-  let table = Hashtbl.create 16 in
-  iter t (fun event ->
-      match event with
-      | Signal { sender; receiver; _ } ->
-        let key = (sender, receiver) in
-        let current = Option.value ~default:0 (Hashtbl.find_opt table key) in
-        Hashtbl.replace table key (current + 1)
-      | Exec _ | State_change _ | Discard _ | Fault _ | Retransmit _
-      | Flow_hop _ -> ());
-  Hashtbl.fold (fun key count acc -> (key, count) :: acc) table []
-  |> List.sort compare
+let summary t =
+  match t.summary with
+  | Some s when s.upto = t.n -> s
+  | Some _ | None ->
+    let s = summarise t in
+    t.summary <- Some s;
+    s
 
-let signal_counts t =
-  if Hashtbl.length t.overflow > 0 then signal_counts_generic t
-  else begin
-    (* (sender, receiver) packs into one immediate int key; [nstrs] is
-       fixed during the scan (no interning happens here) *)
-    let m = max 1 t.nstrs in
-    let table = Hashtbl.create 16 in
-    for i = 0 to t.n - 1 do
-      if Bytes.unsafe_get t.kind i = '\001' (* k_signal *) then begin
-        let key = (Array.unsafe_get t.f0 i * m) + Array.unsafe_get t.f1 i in
-        match Hashtbl.find table key with
-        | r -> incr r
-        | exception Not_found -> Hashtbl.add table key (ref 1)
-      end
-    done;
-    Hashtbl.fold
-      (fun key r acc -> ((t.strs.(key / m), t.strs.(key mod m)), !r) :: acc)
-      table []
-    |> List.sort compare
-  end
-
-let discard_counts_generic t =
-  let table = Hashtbl.create 8 in
-  iter t (fun event ->
-      match event with
-      | Discard { process; _ } ->
-        let current = Option.value ~default:0 (Hashtbl.find_opt table process) in
-        Hashtbl.replace table process (current + 1)
-      | Exec _ | Signal _ | State_change _ | Fault _ | Retransmit _
-      | Flow_hop _ -> ());
-  Hashtbl.fold (fun p c acc -> (p, c) :: acc) table []
-  |> List.sort compare
-
-let discard_counts t =
-  if Hashtbl.length t.overflow > 0 then discard_counts_generic t
-  else begin
-    let counts = Array.make (max 1 t.nstrs) 0 in
-    for i = 0 to t.n - 1 do
-      if Bytes.unsafe_get t.kind i = '\003' (* k_discard *) then begin
-        let id = Array.unsafe_get t.f0 i in
-        counts.(id) <- counts.(id) + 1
-      end
-    done;
-    let acc = ref [] in
-    for id = t.nstrs - 1 downto 0 do
-      if counts.(id) > 0 then acc := (t.strs.(id), counts.(id)) :: !acc
-    done;
-    List.sort compare !acc
-  end
+let total_cycles t = (summary t).cycles
+let signal_counts t = (summary t).signals
+let discard_counts t = (summary t).discards
 
 let event_to_line = function
   | Exec { time; process; cycles } ->
@@ -375,18 +488,18 @@ let event_of_line line =
   match fields with
   | [ "E"; time; process; cycles ] -> (
     match time_of time, Int64.of_string_opt cycles with
-    | Ok time, Some cycles -> Ok (Exec { time; process; cycles })
+    | Ok time, Some cycles when cycles >= 0L -> Ok (Exec { time; process; cycles })
     | Error e, _ -> Error e
-    | _, None -> Error (Printf.sprintf "bad cycles in %S" line))
+    | _, _ -> Error (Printf.sprintf "bad cycles in %S" line))
   | [ "S"; time; sender; receiver; signal; words ] -> (
     match time_of time, int_of_string_opt words with
-    | Ok time, Some words ->
+    | Ok time, Some words when words >= 0 ->
       Ok (Signal { time; sender; receiver; signal; words; tag = -1 })
     | Error e, _ -> Error e
-    | _, None -> Error (Printf.sprintf "bad words in %S" line))
+    | _, _ -> Error (Printf.sprintf "bad words in %S" line))
   | [ "S"; time; sender; receiver; signal; words; tag ] -> (
     match time_of time, int_of_string_opt words, int_of_string_opt tag with
-    | Ok time, Some words, Some tag when tag >= 0 ->
+    | Ok time, Some words, Some tag when words >= 0 && tag >= 0 ->
       Ok (Signal { time; sender; receiver; signal; words; tag })
     | Error e, _, _ -> Error e
     | _, _, _ -> Error (Printf.sprintf "bad words or tag in %S" line))

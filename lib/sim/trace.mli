@@ -59,13 +59,20 @@ type event =
     }
 
 type t
-(** An arena: struct-of-arrays int columns plus a string-interning
-    table.  Recording is an (amortised) allocation-free append of
-    interned ids; the textual lines are rendered lazily at {!save} /
-    {!to_lines} time. *)
+(** A packed log plus a string-interning table.  Each event is one
+    record of zigzag-LEB128 integers ({!Varint}): its kind, its time as
+    a delta from the previous record's time, then only the fields its
+    kind uses, strings as interned ids — about 6.4 bytes per event on
+    the TUTMAC runs.  Records are appended to byte chunks that are never
+    copied and that the GC never scans; the first chunk holds 4 KiB and
+    each next one twice as much, up to 1 MiB.  Recording allocates
+    nothing per event; the [event] values and the textual lines are
+    decoded only when someone reads them.  Reading keeps state ({!get}'s
+    position, the aggregations' last scan), so one log must not be read
+    from two domains at once. *)
 
 type backend = Arena
-(** The store implementation; the arena is the only one.  Kept so
+(** The store implementation; the packed log is the only one.  Kept so
     existing [~backend] callers compile. *)
 
 val create : ?backend:backend -> unit -> t
@@ -74,7 +81,7 @@ val record : t -> event -> unit
 
 val intern : t -> string -> int
 (** Intern a string in the trace's table, returning its id.  Ids are
-    stable for the lifetime of the trace ({!clear} keeps the table). *)
+    stable for the lifetime of the trace. *)
 
 val interned : t -> int -> string
 (** The string behind an id handed out by {!intern}. *)
@@ -117,26 +124,33 @@ val fold : t -> 'a -> ('a -> event -> 'a) -> 'a
 (** [fold t init f] folds [f] over the events in recording order. *)
 
 val get : t -> int -> event
-(** [get t i] is the [i]th recorded event (0-based), in O(1).  Raises
+(** [get t i] is the [i]th recorded event (0-based).  A sparse index
+    locates every 64th record, so [get] decodes at most 64 records; it
+    also remembers where the previous call stopped, so reading [0],
+    [1], [2], ... in order decodes each record once.  Raises
     [Invalid_argument] when out of range. *)
 
 val length : t -> int
-val clear : t -> unit
-(** Drops the recorded events.  Interned ids stay valid. *)
 
 val total_cycles : t -> (string * int64) list
-(** Cycles per process, sorted by process name. *)
+(** Cycles per process, sorted by process name.  The three aggregations
+    come from one scan of the records, kept until the next append, so
+    asking for all three decodes the log once. *)
 
 val signal_counts : t -> ((string * string) * int) list
 (** Signal counts per (sender, receiver) pair, sorted. *)
 
 val discard_counts : t -> (string * int) list
 (** Discarded-signal counts per process, sorted by process name.  Like
-    {!total_cycles} / {!signal_counts}, a column scan — no per-event
-    decoding. *)
+    {!total_cycles} / {!signal_counts}, one scan of the records that
+    builds no [event] and allocates nothing per record. *)
 
 val event_to_line : event -> string
+
 val event_of_line : string -> (event, string) result
+(** Parses one line of the format above.  Counts must not be negative:
+    cycles, words, tags (when present), attempts, flow ids and
+    durations. *)
 
 val to_lines : t -> string list
 

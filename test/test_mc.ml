@@ -4,8 +4,8 @@
    with reachable deadlocks and queue overflows whose counterexamples
    replay byte for byte under both execution engines, coverage
    reporting, the L09 lint-oracle bridge, exact state counts pinned
-   under seven configurations, the packed-record codec, and runtime
-   action failures reported with their step. *)
+   under seven configurations, and runtime action failures reported
+   with their step. *)
 
 let check = Alcotest.check
 let int_t = Alcotest.int
@@ -554,55 +554,6 @@ let test_env_param_caveat () =
     (contains (List.hd (rules r.Mc.Check.r_diagnostics "M06")).Lint.Diagnostic.message
        "kick")
 
-(* -- the packed record codec --------------------------------------------- *)
-
-let encode values =
-  let w = Mc.Varint.writer () in
-  List.iter (Mc.Varint.add w) values;
-  Bytes.sub_string (Mc.Varint.bytes w) 0 (Mc.Varint.length w)
-
-let decode n bytes =
-  let r = Mc.Varint.reader () in
-  Mc.Varint.seek r (Bytes.of_string bytes) 0;
-  let values = List.init n (fun _ -> Mc.Varint.read r) in
-  (values, Mc.Varint.pos r)
-
-(* Small magnitudes of both signs, the one- and two-byte boundaries, and
-   the extremes of the 63-bit range. *)
-let slot_values =
-  QCheck.make
-    ~print:QCheck.Print.(list int)
-    QCheck.Gen.(
-      small_list
-        (frequency
-           [
-             (4, int_range (-3) 3);
-             (2, oneofl [ -65; -64; 63; 64; -8193; -8192; 8191; 8192 ]);
-             (1, oneofl [ min_int; max_int; min_int + 1; max_int - 1 ]);
-             (2, int);
-           ]))
-
-let prop_round_trip =
-  QCheck.Test.make ~name:"record codec round-trips" ~count:500 slot_values
-    (fun values ->
-      let bytes = encode values in
-      decode (List.length values) bytes = (values, String.length bytes))
-
-let prop_injective =
-  QCheck.Test.make ~name:"record codec is injective" ~count:500
-    (QCheck.pair slot_values slot_values) (fun (a, b) ->
-      (encode a = encode b) = (a = b))
-
-let test_codec_widths () =
-  List.iter
-    (fun (x, width) ->
-      check int_t (Printf.sprintf "bytes for %d" x) width
-        (String.length (encode [ x ])))
-    [
-      (0, 1); (-64, 1); (63, 1); (64, 2); (-65, 2); (8191, 2); (8192, 3);
-      (min_int, 9); (max_int, 9);
-    ]
-
 (* -- runtime failures ------------------------------------------------------ *)
 
 let test_runtime_error_located () =
@@ -679,12 +630,6 @@ let () =
             test_coverage_reports;
           Alcotest.test_case "environment payload caveat" `Quick
             test_env_param_caveat;
-        ] );
-      ( "codec",
-        [
-          Alcotest.test_case "one- and two-byte limits" `Quick test_codec_widths;
-          QCheck_alcotest.to_alcotest prop_round_trip;
-          QCheck_alcotest.to_alcotest prop_injective;
         ] );
       ( "failure",
         [

@@ -1,4 +1,5 @@
-(* Tests for the discrete-event kernel, trace log and RTOS model. *)
+(* Tests for the discrete-event kernel, trace log, record codec and RTOS
+   model. *)
 
 let check = Alcotest.check
 let bool_t = Alcotest.bool
@@ -184,6 +185,8 @@ let test_trace_bad_lines () =
       "L 1 0 queue p -5";
       "L oops 0 queue p 5";
       "L 1 zero queue p 5";
+      "E 0 p -5";
+      "S 1 a b c -5";
     ]
 
 (* of_lines reports the 1-based line number of the first malformed line,
@@ -280,7 +283,7 @@ let gen_event =
 
 (* [gen_event] spans all seven kinds and the renderer's edge cases:
    untagged signals (tag -1), "-" fault info, zero-duration flow hops.
-   The arena must decode and render exactly the plain event list it was
+   The store must decode and render exactly the plain event list it was
    fed. *)
 let prop_trace_roundtrip =
   QCheck.Test.make ~name:"trace lines round-trip" ~count:300
@@ -309,45 +312,50 @@ let tally add zero key events =
     events;
   List.sort compare (Hashtbl.fold (fun k n acc -> (k, n) :: acc) table [])
 
+(* The first aggregation of [t] that differs from the same tally over
+   the plain event list, if any. *)
+let aggregation_mismatch t events =
+  let cycles =
+    tally Int64.add 0L
+      (function
+        | Sim.Trace.Exec { process; cycles; _ } -> Some (process, cycles)
+        | _ -> None)
+  and signals =
+    tally ( + ) 0 (function
+      | Sim.Trace.Signal { sender; receiver; _ } -> Some ((sender, receiver), 1)
+      | _ -> None)
+  and discards =
+    tally ( + ) 0 (function
+      | Sim.Trace.Discard { process; _ } -> Some (process, 1)
+      | _ -> None)
+  in
+  if Sim.Trace.total_cycles t <> cycles events then Some "total_cycles"
+  else if Sim.Trace.signal_counts t <> signals events then Some "signal_counts"
+  else if Sim.Trace.discard_counts t <> discards events then Some "discard_counts"
+  else None
+
 (* Interning torture: thousands of distinct names force the intern
    table and string store through several growth doublings (and plenty
    of hash-bucket collisions); out-of-range int64 payloads exercise the
-   overflow side table.  The arena must keep rendering and re-interning
+   overflow side table.  The store must keep rendering and re-interning
    exactly like the plain event list it was fed, and aggregate like it
-   on both the column-scan path and the overflow (decoding) path. *)
+   on both the record-scan path and the overflow (decoding) path. *)
 let test_trace_intern_torture () =
-  let arena = Sim.Trace.create () in
+  let store = Sim.Trace.create () in
   let model = ref [] in
   let record e =
-    Sim.Trace.record arena e;
+    Sim.Trace.record store e;
     model := e :: !model
   in
   let agree what =
     let events = List.rev !model in
     check int_t (what ^ ": same length") (List.length events)
-      (Sim.Trace.length arena);
-    if Sim.Trace.to_lines arena <> List.map Sim.Trace.event_to_line events then
+      (Sim.Trace.length store);
+    if Sim.Trace.to_lines store <> List.map Sim.Trace.event_to_line events then
       Alcotest.failf "%s: render diverged after interning growth" what;
-    let cycles =
-      tally Int64.add 0L
-        (function
-          | Sim.Trace.Exec { process; cycles; _ } -> Some (process, cycles)
-          | _ -> None)
-    and signals =
-      tally ( + ) 0 (function
-        | Sim.Trace.Signal { sender; receiver; _ } -> Some ((sender, receiver), 1)
-        | _ -> None)
-    and discards =
-      tally ( + ) 0 (function
-        | Sim.Trace.Discard { process; _ } -> Some (process, 1)
-        | _ -> None)
-    in
-    if Sim.Trace.total_cycles arena <> cycles events then
-      Alcotest.failf "%s: total_cycles diverged" what;
-    if Sim.Trace.signal_counts arena <> signals events then
-      Alcotest.failf "%s: signal_counts diverged" what;
-    if Sim.Trace.discard_counts arena <> discards events then
-      Alcotest.failf "%s: discard_counts diverged" what
+    Option.iter
+      (Alcotest.failf "%s: %s diverged" what)
+      (aggregation_mismatch store events)
   in
   for i = 0 to 4999 do
     let p = Printf.sprintf "proc_%d" (i mod 3000) in
@@ -369,7 +377,7 @@ let test_trace_intern_torture () =
     if i mod 7 = 0 then
       record (Sim.Trace.Discard { time = Int64.of_int i; process = q; signal = "s" })
   done;
-  agree "column scan";
+  agree "record scan";
   (* out-of-range rows land in the overflow table and force every
      aggregation onto the generic decode path *)
   record
@@ -386,8 +394,168 @@ let test_trace_intern_torture () =
   agree "overflow";
   (* re-interning an already-known name is stable *)
   check int_t "intern is idempotent"
-    (Sim.Trace.intern arena "proc_42")
-    (Sim.Trace.intern arena "proc_42")
+    (Sim.Trace.intern store "proc_42")
+    (Sim.Trace.intern store "proc_42")
+
+(* The packed store against the plain event list it was fed, on
+   streams long enough to cross chunk and index boundaries: at least 4
+   bytes a record, 3100 records outgrow the first two chunks (4 + 8 KiB)
+   and span 48 index blocks.  Times take small steps either way and sit
+   next to [min_int]/[max_int] (the deltas between them wrap); 300
+   names put ids past the one-byte limit.  Half the streams also carry
+   out-of-range int64 rows, which the overflow table must keep exact
+   and which move [total_cycles] onto its decoding path. *)
+let gen_packed_stream =
+  QCheck.Gen.(
+    let* overflow = bool in
+    let names = Array.init 300 (Printf.sprintf "n%d") in
+    let name = map (Array.get names) (int_bound 299) in
+    let edges =
+      List.map Int64.of_int [ min_int; min_int + 1; max_int - 1; max_int ]
+    in
+    let outside =
+      [
+        Int64.max_int;
+        Int64.min_int;
+        Int64.succ (Int64.of_int max_int);
+        Int64.pred (Int64.of_int min_int);
+      ]
+    in
+    let wide small =
+      frequency
+        ((20, small) :: (1, oneofl edges)
+        :: (if overflow then [ (1, oneofl outside) ] else []))
+    in
+    let time = wide (map Int64.of_int (int_range 0 5000)) in
+    let count =
+      let huge = [ Int64.max_int; Int64.succ (Int64.of_int max_int) ] in
+      frequency
+        ((20, map Int64.of_int (int_range 0 100_000))
+        :: (if overflow then [ (1, oneofl huge) ] else []))
+    in
+    let event =
+      let* time = time in
+      oneof
+        [
+          map2
+            (fun process cycles -> Sim.Trace.Exec { time; process; cycles })
+            name count;
+          (let* sender = name and* receiver = name and* signal = name in
+           let* words = int_range 0 300
+           and* tag = oneof [ return (-1); int_range 0 100_000 ] in
+           return (Sim.Trace.Signal { time; sender; receiver; signal; words; tag }));
+          (let* process = name and* from_ = name and* to_ = name in
+           return (Sim.Trace.State_change { time; process; from_; to_ }));
+          map2
+            (fun process signal -> Sim.Trace.Discard { time; process; signal })
+            name name;
+          (let* kind = name and* target = name and* info = name in
+           return (Sim.Trace.Fault { time; kind; target; info }));
+          (let* sender = name and* receiver = name and* signal = name in
+           let* attempt = int_range 0 200 in
+           return (Sim.Trace.Retransmit { time; sender; receiver; signal; attempt }));
+          (let* flow = int_range 0 100_000 and* stage = name and* where_ = name in
+           let* dur = count in
+           return (Sim.Trace.Flow_hop { time; flow; stage; where_; dur }));
+        ]
+    in
+    list_size (int_range 3100 4000) event)
+
+let prop_packed_store =
+  QCheck.Test.make ~name:"packed store matches the event list" ~count:20
+    (QCheck.make
+       ~print:(fun events -> Printf.sprintf "<%d events>" (List.length events))
+       gen_packed_stream)
+    (fun events ->
+      let t = Sim.Trace.create () in
+      List.iter (Sim.Trace.record t) events;
+      let expected = Array.of_list events in
+      let n = Array.length expected in
+      let fail what = QCheck.Test.fail_reportf "%s diverged" what in
+      if Sim.Trace.length t <> n then fail "length";
+      (* In order (the cursor carries on), backwards (every call seeks
+         through the index) and by a stride that skips whole blocks. *)
+      let get_agrees i =
+        if Sim.Trace.get t i <> expected.(i) then
+          QCheck.Test.fail_reportf "get %d diverged" i
+      in
+      for i = 0 to n - 1 do
+        get_agrees i
+      done;
+      for i = n - 1 downto 0 do
+        get_agrees i
+      done;
+      for k = 0 to n - 1 do
+        get_agrees (k * 97 mod n)
+      done;
+      let seen = ref [] in
+      Sim.Trace.iter t (fun e -> seen := e :: !seen);
+      if List.rev !seen <> events then fail "iter";
+      if List.rev (Sim.Trace.fold t [] (fun acc e -> e :: acc)) <> events then
+        fail "fold";
+      if Sim.Trace.events t <> events then fail "events";
+      if Sim.Trace.to_lines t <> List.map Sim.Trace.event_to_line events then
+        fail "to_lines";
+      let path = Filename.temp_file "packed" ".log" in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove path)
+        (fun () ->
+          Sim.Trace.save t path;
+          match Sim.Trace.load path with
+          | Ok t' -> if Sim.Trace.events t' <> events then fail "save/load"
+          | Error e -> QCheck.Test.fail_reportf "load: %s" e);
+      match aggregation_mismatch t events with
+      | None -> true
+      | Some what -> fail what)
+
+(* -- the record codec ------------------------------------------------------ *)
+
+let encode values =
+  let w = Sim.Varint.writer () in
+  List.iter (Sim.Varint.add w) values;
+  Bytes.sub_string (Sim.Varint.bytes w) 0 (Sim.Varint.length w)
+
+let decode n bytes =
+  let r = Sim.Varint.reader () in
+  Sim.Varint.seek r (Bytes.of_string bytes) 0;
+  let values = List.init n (fun _ -> Sim.Varint.read r) in
+  (values, Sim.Varint.pos r)
+
+(* Small magnitudes of both signs, the one- and two-byte boundaries, and
+   the extremes of the 63-bit range. *)
+let slot_values =
+  QCheck.make
+    ~print:QCheck.Print.(list int)
+    QCheck.Gen.(
+      small_list
+        (frequency
+           [
+             (4, int_range (-3) 3);
+             (2, oneofl [ -65; -64; 63; 64; -8193; -8192; 8191; 8192 ]);
+             (1, oneofl [ min_int; max_int; min_int + 1; max_int - 1 ]);
+             (2, int);
+           ]))
+
+let prop_round_trip =
+  QCheck.Test.make ~name:"record codec round-trips" ~count:500 slot_values
+    (fun values ->
+      let bytes = encode values in
+      decode (List.length values) bytes = (values, String.length bytes))
+
+let prop_injective =
+  QCheck.Test.make ~name:"record codec is injective" ~count:500
+    (QCheck.pair slot_values slot_values) (fun (a, b) ->
+      (encode a = encode b) = (a = b))
+
+let test_codec_widths () =
+  List.iter
+    (fun (x, width) ->
+      check int_t (Printf.sprintf "bytes for %d" x) width
+        (String.length (encode [ x ])))
+    [
+      (0, 1); (-64, 1); (63, 1); (64, 2); (-65, 2); (8191, 2); (8192, 3);
+      (min_int, 9); (max_int, 9);
+    ]
 
 (* -- rtos ---------------------------------------------------------------- *)
 
@@ -512,6 +680,13 @@ let () =
           Alcotest.test_case "interning torture" `Quick
             test_trace_intern_torture;
           QCheck_alcotest.to_alcotest prop_trace_roundtrip;
+          QCheck_alcotest.to_alcotest prop_packed_store;
+        ] );
+      ( "codec",
+        [
+          Alcotest.test_case "one- and two-byte limits" `Quick test_codec_widths;
+          QCheck_alcotest.to_alcotest prop_round_trip;
+          QCheck_alcotest.to_alcotest prop_injective;
         ] );
       ( "rtos",
         [

@@ -882,62 +882,68 @@ let test_calendar_resize () =
 (* -- mailbox ----------------------------------------------------------- *)
 
 let test_mailbox_fifo () =
-  let mb = Sim.Mailbox.create ~capacity:4 ~dummy:0 () in
-  check bool_t "empty" true (Sim.Mailbox.is_empty mb);
+  let mb = Sim.Mailbox.Flat.create ~capacity:4 ~dummy:0 () in
+  check bool_t "empty" true (Sim.Mailbox.Flat.is_empty mb);
   (* interleave pushes and pops so head wraps around the ring while the
      buffer grows past its initial capacity *)
   let out = ref [] in
   let next_in = ref 0 in
+  let pop () =
+    let a = Sim.Mailbox.Flat.head_a mb in
+    let payload = Sim.Mailbox.Flat.pop mb in
+    check int_t "lane and payload in step" a payload;
+    out := payload :: !out
+  in
   for round = 1 to 50 do
     for _ = 1 to round mod 7 do
       incr next_in;
-      Sim.Mailbox.push mb !next_in
+      Sim.Mailbox.Flat.push mb !next_in 0 0 !next_in
     done;
     for _ = 1 to round mod 3 do
-      if not (Sim.Mailbox.is_empty mb) then out := Sim.Mailbox.pop mb :: !out
+      if not (Sim.Mailbox.Flat.is_empty mb) then pop ()
     done
   done;
-  while not (Sim.Mailbox.is_empty mb) do
-    out := Sim.Mailbox.pop mb :: !out
+  while not (Sim.Mailbox.Flat.is_empty mb) do
+    pop ()
   done;
   let got = List.rev !out in
   check int_t "nothing lost" !next_in (List.length got);
   check bool_t "FIFO order" true (got = List.init !next_in (fun i -> i + 1));
-  check bool_t "empty again" true (Sim.Mailbox.is_empty mb)
+  check bool_t "empty again" true (Sim.Mailbox.Flat.is_empty mb)
 
 (* High-water mark: tracks the peak length across wrap-around and
    growth, and only [clear] resets it — popping to empty does not. *)
 let test_mailbox_high_water () =
-  let mb = Sim.Mailbox.create ~capacity:4 ~dummy:0 () in
-  check int_t "starts at 0" 0 (Sim.Mailbox.high_water mb);
+  let mb = Sim.Mailbox.Flat.create ~capacity:4 ~dummy:0 () in
+  let push i = Sim.Mailbox.Flat.push mb i i i i in
+  check int_t "starts at 0" 0 (Sim.Mailbox.Flat.high_water mb);
   for i = 1 to 3 do
-    Sim.Mailbox.push mb i
+    push i
   done;
-  check int_t "tracks pushes" 3 (Sim.Mailbox.high_water mb);
+  check int_t "tracks pushes" 3 (Sim.Mailbox.Flat.high_water mb);
   (* wrap the head: drain, then push enough to cross the ring boundary
      without growing (capacity rounds 4 up to the 8 minimum) *)
-  while not (Sim.Mailbox.is_empty mb) do
-    ignore (Sim.Mailbox.pop mb)
+  while not (Sim.Mailbox.Flat.is_empty mb) do
+    ignore (Sim.Mailbox.Flat.pop mb)
   done;
-  check int_t "draining keeps the peak" 3 (Sim.Mailbox.high_water mb);
+  check int_t "draining keeps the peak" 3 (Sim.Mailbox.Flat.high_water mb);
   for i = 1 to 2 do
-    Sim.Mailbox.push mb i
+    push i
   done;
-  check int_t "lower refills keep the peak" 3 (Sim.Mailbox.high_water mb);
+  check int_t "lower refills keep the peak" 3 (Sim.Mailbox.Flat.high_water mb);
   (* grow past the backing array: peak follows the new maximum *)
   for i = 3 to 40 do
-    Sim.Mailbox.push mb i
+    push i
   done;
-  check int_t "growth raises the peak" 40 (Sim.Mailbox.high_water mb);
-  Sim.Mailbox.clear mb;
-  check bool_t "clear empties" true (Sim.Mailbox.is_empty mb);
-  check int_t "clear resets the peak" 0 (Sim.Mailbox.high_water mb);
-  Sim.Mailbox.push mb 7;
-  check int_t "peak restarts after clear" 1 (Sim.Mailbox.high_water mb)
+  check int_t "growth raises the peak" 40 (Sim.Mailbox.Flat.high_water mb);
+  Sim.Mailbox.Flat.clear mb;
+  check bool_t "clear empties" true (Sim.Mailbox.Flat.is_empty mb);
+  check int_t "clear resets the peak" 0 (Sim.Mailbox.Flat.high_water mb);
+  push 7;
+  check int_t "peak restarts after clear" 1 (Sim.Mailbox.Flat.high_water mb)
 
 (* The flat ring keeps its three int lanes and the payload in step
-   through wrap-around and growth, and shares the high-water/clear
-   contract with the boxed ring. *)
+   through wrap-around and growth. *)
 let test_mailbox_flat_lanes () =
   let mb = Sim.Mailbox.Flat.create ~capacity:4 ~dummy:"" () in
   let popped = ref [] in
