@@ -982,12 +982,12 @@ let bench_sim () =
   (* Divergence gate first: one run per engine, full-trace diff. *)
   let matrix =
     [
-      ("reference", Codegen.Runtime.Reference);
-      ("compiled", Codegen.Runtime.Compiled);
+      ("reference", Efsm.Exec.Reference);
+      ("compiled", Efsm.Exec.Compiled);
     ]
   in
   let lines engine = Sim.Trace.to_lines (run engine ()).Tutmac.Scenario.trace in
-  let ref_lines = lines Codegen.Runtime.Reference in
+  let ref_lines = lines Efsm.Exec.Reference in
   let rec first i = function
     | [], [] -> None
     | a :: _, [] -> Some (i, a, "<end>")
@@ -995,7 +995,7 @@ let bench_sim () =
     | a :: ra, b :: rb ->
       if a <> b then Some (i, a, b) else first (i + 1) (ra, rb)
   in
-  (match first 0 (ref_lines, lines Codegen.Runtime.Compiled) with
+  (match first 0 (ref_lines, lines Efsm.Exec.Compiled) with
   | Some (i, a, b) ->
     Printf.printf
       "  FAIL: compiled diverges from reference at event %d\n\
@@ -1011,8 +1011,8 @@ let bench_sim () =
   let ref_s = ref [] and com_s = ref [] and ratios = ref [] in
   for i = 1 to reps do
     let measure engine () = min3 (fun () -> time (run engine)) in
-    let measure_ref = measure Codegen.Runtime.Reference in
-    let measure_com = measure Codegen.Runtime.Compiled in
+    let measure_ref = measure Efsm.Exec.Reference in
+    let measure_com = measure Efsm.Exec.Compiled in
     let r, c =
       if i mod 2 = 0 then
         let r = measure_ref () in
@@ -1379,7 +1379,7 @@ let bench_wlan () =
   let one_cell engine =
     fingerprint (Tutmac.Wlan.run (config ~terminals:1 ~faults:plan engine))
   in
-  if one_cell Codegen.Runtime.Compiled <> one_cell Codegen.Runtime.Reference
+  if one_cell Efsm.Exec.Compiled <> one_cell Efsm.Exec.Reference
   then begin
     Printf.printf "  FAIL: 1-terminal compiled fleet diverges from reference\n";
     exit 1
@@ -1390,7 +1390,7 @@ let bench_wlan () =
   Gc.full_major ();
   let t0 = Unix.gettimeofday () in
   let r =
-    Tutmac.Wlan.run (config ~terminals:200 ~faults:plan Codegen.Runtime.Compiled)
+    Tutmac.Wlan.run (config ~terminals:200 ~faults:plan Efsm.Exec.Compiled)
   in
   let wall_s = Unix.gettimeofday () -. t0 in
   let resolved =

@@ -1046,7 +1046,7 @@ let check_cmd =
           | Ok trace -> (
             let net = Mc.Net.build model in
             match
-              Mc.Counterexample.replay net ~engine:Mc.Net.Compiled trace
+              Mc.Counterexample.replay net ~engine:Efsm.Exec.Compiled trace
             with
             | Error e ->
               prerr_endline e;
@@ -1179,13 +1179,6 @@ let wlan_cmd =
     let doc = "Per-fragment transmission attempts before abandoning." in
     Arg.(value & opt int 6 & info [ "max-retries" ] ~docv:"N" ~doc)
   in
-  let jobs_arg =
-    let doc =
-      "Domains used to aggregate per-terminal metrics (never changes the \
-       result)."
-    in
-    Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
-  in
   let format_arg =
     let doc = "Output format: text or json." in
     Arg.(
@@ -1194,7 +1187,7 @@ let wlan_cmd =
       & info [ "format" ] ~docv:"FMT" ~doc)
   in
   let run duration_ms terminals slot_ns seed mix churn max_retries faults
-      fault_seed jobs format log chrome_trace metrics_out =
+      fault_seed format log chrome_trace metrics_out =
     match Tutmac.Wlan.churn_of_string churn with
     | Error e ->
       prerr_endline ("wlan: " ^ e);
@@ -1213,7 +1206,6 @@ let wlan_cmd =
           Tutmac.Wlan.churn;
           Tutmac.Wlan.faults = Option.value ~default:Fault.Plan.empty faults;
           Tutmac.Wlan.fault_seed;
-          Tutmac.Wlan.jobs;
         }
       in
       match Tutmac.Wlan.run ~obs config with
@@ -1240,8 +1232,7 @@ let wlan_cmd =
           (collisions, channel faults, churn)")
     Term.(
       const run $ duration_arg $ terminals_arg $ slot_arg $ seed_arg $ mix_arg
-      $ churn_arg $ retries_arg $ faults_arg $ fault_seed_arg $ jobs_arg
-      $ format_arg $ log_arg $ chrome_trace_arg $ metrics_out_arg)
+      $ churn_arg $ retries_arg $ faults_arg $ fault_seed_arg $ format_arg $ log_arg $ chrome_trace_arg $ metrics_out_arg)
 
 (* -- faults ----------------------------------------------------------- *)
 

@@ -1,35 +1,3 @@
-type engine_kind = Reference | Compiled
-
-(* One process's EFSM stepper.  Both variants implement the identical
-   reactive contract ({!Efsm.Interp} documents it; {!Efsm.Compiled}
-   mirrors it bit for bit), so everything downstream of the step —
-   effects, traces, flows, faults — is shared and the two engines
-   cannot drift apart structurally. *)
-type exec =
-  | Exec_interp of Efsm.Interp.t
-  | Exec_compiled of Efsm.Compiled.t
-
-let exec_state = function
-  | Exec_interp i -> Efsm.Interp.state i
-  | Exec_compiled c -> Efsm.Compiled.state c
-
-let exec_timer_request = function
-  | Exec_interp i -> Efsm.Interp.timer_request i
-  | Exec_compiled c -> Efsm.Compiled.timer_request c
-
-let exec_initial_entry = function
-  | Exec_interp i -> Efsm.Interp.initial_entry i
-  | Exec_compiled c -> Efsm.Compiled.initial_entry c
-
-let exec_run_completions = function
-  | Exec_interp i -> Efsm.Interp.run_completions i
-  | Exec_compiled c -> Efsm.Compiled.run_completions c
-
-let exec_read_var exec name =
-  match exec with
-  | Exec_interp i -> Efsm.Interp.read_var i name
-  | Exec_compiled c -> Efsm.Compiled.read_var c name
-
 (* Native-int accumulators: queueing waits fit the 63-bit ns clock and
    bumping them per handled event must not box. *)
 type queue_stats = {
@@ -45,7 +13,7 @@ type queue_stats = {
 type proc_rt = {
   decl : Ir.proc_decl;
   name_id : int;  (** process name interned in the runtime's trace *)
-  exec : exec;
+  exec : Efsm.Exec.t;
   queue : (string * Efsm.Action.value) list Sim.Mailbox.Flat.t;
       (** lanes: a = interned signal id, b = flow id, c = enqueued_at *)
   mutable busy : bool;
@@ -60,23 +28,18 @@ type proc_rt = {
       (** scheduler of the PE the process currently runs on (the
           environment scheduler for env processes); refreshed on
           degradation re-mapping so the hot path never re-resolves it *)
-  mutable eff_rest : Efsm.Action.effect list;
-      (** effects left in a list-backed chain; see [eff_cont] *)
-  mutable eff_idx : int;
-      (** next effect in a buffer-backed (compiled) chain *)
+  mutable eff_idx : int;  (** next effect of the chain in [exec]'s buffer *)
+  mutable eff_len : int;  (** effects in the chain, read when it starts *)
   mutable eff_k : unit -> unit;  (** continuation after the chain *)
   mutable eff_cycles : int;  (** cycles of the burst in flight *)
   mutable eff_cont : unit -> unit;
-      (** shared compute-burst completion for list-backed chains:
-          records the burst and resumes [eff_rest]; one outstanding
-          chain per process ([busy]) makes a single cell per process
-          enough *)
-  mutable eff_cont_b : unit -> unit;
-      (** ditto for buffer-backed chains, resuming at [eff_idx] *)
+      (** shared compute-burst completion: records the burst and resumes
+          the chain at [eff_idx]; one outstanding chain per process
+          ([busy]) makes a single cell per process enough *)
   mutable sig_map : int array;
-      (** compiled engine: trace signal id -> VM dispatch-table id
-          (memo; -2 unresolved, -1 not a signal of this machine), so
-          steady-state dispatch never hashes a signal name *)
+      (** trace signal id -> dispatch-table id (memo; -2 unresolved, -1
+          not a signal of this machine), so steady-state dispatch never
+          hashes a signal name *)
   mutable finish_fn : unit -> unit;
       (** shared end-of-dispatch continuation (unbusy, re-arm, pump) *)
   mutable current_flow : int;
@@ -166,9 +129,7 @@ type t = {
   st_transfer : int;
   st_retransmit : int;
   st_end : int;
-  overhead_eff : Efsm.Action.effect;
-      (** [Eff_compute dispatch_overhead_cycles], shared by every event *)
-  overhead_cycles : int;  (** same value unwrapped, for the cursor path *)
+  overhead_cycles : int;  (** charged before every handled event *)
   m_exec_cycles : Obs.Metrics.counter;
       (** cycles of application (non-environment) execution — matches the
           report's total, see {!Profiler.Report.cross_check} *)
@@ -232,10 +193,10 @@ let same_pe t a b =
 
 let local_delivery_ns = 100
 
-(* Trace signal id -> compiled dispatch-table id, memoised per process:
+(* Trace signal id -> dispatch-table id, memoised per process:
    after the first delivery of each signal the hot path never hashes a
    signal name again. *)
-let vm_sid t proc vm sig_id =
+let exec_sid t proc sig_id =
   (if sig_id >= Array.length proc.sig_map then begin
      let m = Array.make ((2 * sig_id) + 8) (-2) in
      Array.blit proc.sig_map 0 m 0 (Array.length proc.sig_map);
@@ -244,7 +205,7 @@ let vm_sid t proc vm sig_id =
   let sid = proc.sig_map.(sig_id) in
   if sid <> -2 then sid
   else begin
-    let sid = Efsm.Compiled.signal_id vm (Sim.Trace.interned t.trace sig_id) in
+    let sid = Efsm.Exec.signal_id proc.exec (Sim.Trace.interned t.trace sig_id) in
     proc.sig_map.(sig_id) <- sid;
     sid
   end
@@ -267,33 +228,13 @@ let rec pump t proc =
         ~where_:proc.name_id ~dur:wait
     end;
     proc.busy <- true;
-    let before_state = exec_state proc.exec in
+    let before_state = Efsm.Exec.state proc.exec in
     let is_timeout = sig_id = t.timeout_id in
-    (* Compiled instances dispatch by pre-resolved table id and leave
-       the effects in the VM's buffer (walked in place by
-       [run_effects_c]); the reference interpreter keeps its step/list
-       contract.  Both paths fire the same transitions. *)
     let fired =
-      match proc.exec with
-      | Exec_compiled vm ->
-        if is_timeout then
-          Efsm.Compiled.fire_timer_id vm ~entered_state:before_state
-        else
-          Efsm.Compiled.dispatch_id vm ~sid:(vm_sid t proc vm sig_id) ~args
-      | Exec_interp i ->
-        let step =
-          if is_timeout then
-            Efsm.Interp.fire_timer i ~entered_state:before_state
-          else
-            Efsm.Interp.dispatch i
-              ~signal:(Sim.Trace.interned t.trace sig_id)
-              ~args
-        in
-        (match step.Efsm.Interp.fired with
-        | None -> false
-        | Some _ ->
-          proc.eff_rest <- step.Efsm.Interp.effects;
-          true)
+      if is_timeout then
+        Efsm.Exec.fire_timer_id proc.exec ~entered_state:before_state
+      else
+        Efsm.Exec.dispatch_id proc.exec ~sid:(exec_sid t proc sig_id) ~args
     in
     match fired with
     | false ->
@@ -314,7 +255,7 @@ let rec pump t proc =
       proc.busy <- false;
       pump t proc
     | true ->
-      let after_state = exec_state proc.exec in
+      let after_state = Efsm.Exec.state proc.exec in
       if not (is_env proc) then
         Sim.Trace.record_state_change t.trace ~time:now
           ~process:proc.name_id
@@ -347,53 +288,35 @@ let rec pump t proc =
       in
       (* Every handled event is charged the dispatch overhead burst
          before its own effects run. *)
-      (match proc.exec with
-      | Exec_compiled _ ->
-        proc.eff_idx <- 0;
-        proc.eff_k <- k;
-        proc.eff_cycles <- t.overhead_cycles;
-        Sim.Rtos.submit_i proc.sched ~task:proc.decl.Ir.proc_name
-          ~priority:proc.decl.Ir.priority ~flow:proc.current_flow
-          ~cycles:t.overhead_cycles proc.eff_cont_b
-      | Exec_interp _ ->
-        run_effects t proc (t.overhead_eff :: proc.eff_rest) k)
+      proc.eff_idx <- 0;
+      proc.eff_len <- Efsm.Exec.effect_count proc.exec;
+      proc.eff_k <- k;
+      proc.eff_cycles <- t.overhead_cycles;
+      Sim.Rtos.submit_i proc.sched ~task:proc.decl.Ir.proc_name
+        ~priority:proc.decl.Ir.priority ~flow:proc.current_flow
+        ~cycles:t.overhead_cycles proc.eff_cont
   end
 
-and run_effects t proc effects k =
-  match effects with
-  | [] -> k ()
-  | Efsm.Action.Eff_compute cycles :: rest ->
-    (* Park the chain state on the process and reuse its lifetime
-       continuation: a compute burst submits with zero closure
-       allocations.  Sound because [busy] serialises effect chains —
-       at most one is outstanding per process. *)
-    proc.eff_rest <- rest;
-    proc.eff_k <- k;
-    proc.eff_cycles <- cycles;
-    Sim.Rtos.submit_i proc.sched ~task:proc.decl.Ir.proc_name
-      ~priority:proc.decl.Ir.priority ~flow:proc.current_flow ~cycles
-      proc.eff_cont
-  | Efsm.Action.Eff_send { port; signal; args } :: rest ->
-    send t proc ~port ~signal ~args;
-    run_effects t proc rest k
-
-(* Buffer-backed twin of [run_effects] for compiled instances: walks
-   the VM's effect buffer by index, so a fired transition allocates no
-   effect list and no per-burst closure. *)
-and run_effects_c t proc vm i k =
-  if i >= Efsm.Compiled.effect_count vm then k ()
+(* Walk the process's effect buffer from [i]: sends go out at once, a
+   compute burst parks the chain on the process and reuses its lifetime
+   continuation, so a fired transition allocates no effect list and no
+   per-burst closure.  Sound because [busy] serialises effect chains —
+   at most one is outstanding per process, and nothing steps the
+   process's executor until it ends. *)
+and run_effects t proc i k =
+  if i >= proc.eff_len then k ()
   else
-    match Efsm.Compiled.effect_at vm i with
+    match Efsm.Exec.effect_at proc.exec i with
     | Efsm.Action.Eff_compute cycles ->
       proc.eff_idx <- i + 1;
       proc.eff_k <- k;
       proc.eff_cycles <- cycles;
       Sim.Rtos.submit_i proc.sched ~task:proc.decl.Ir.proc_name
         ~priority:proc.decl.Ir.priority ~flow:proc.current_flow ~cycles
-        proc.eff_cont_b
+        proc.eff_cont
     | Efsm.Action.Eff_send { port; signal; args } ->
       send t proc ~port ~signal ~args;
-      run_effects_c t proc vm (i + 1) k
+      run_effects t proc (i + 1) k
 
 (* A send with no binding still needs words/params/a trace id; built on
    the (cold) miss path only. *)
@@ -718,12 +641,12 @@ and arm_timer t proc =
      callback always refers to the latest one, with [armed_state]
      discarding firings that raced a state change) and reuses its
      handle. *)
-  match exec_timer_request proc.exec with
+  match Efsm.Exec.timer_request proc.exec with
   | None ->
     Sim.Engine.cancel proc.timer;
     proc.timer <- Sim.Engine.never
   | Some delay_ns ->
-    proc.armed_state <- exec_state proc.exec;
+    proc.armed_state <- Efsm.Exec.state proc.exec;
     proc.timer <-
       Sim.Engine.rearm_ns t.engine proc.timer ~delay:delay_ns proc.timer_fire
 
@@ -841,8 +764,8 @@ let schedule_pe_faults t f =
     (Fault.Injector.pe_slowdowns f.injector)
 
 let create ?trace:(trace_store = Sim.Trace.create ()) ?faults ?obs ?flows
-    ?(engine = Compiled) sys =
-  let engine_kind = engine in
+    ?(engine = Efsm.Exec.Compiled) sys =
+  let exec_engine = engine in
   match Ir.check sys with
   | _ :: _ as problems -> Error problems
   | [] ->
@@ -996,24 +919,18 @@ let create ?trace:(trace_store = Sim.Trace.create ()) ?faults ?obs ?flows
           {
             decl;
             name_id = Sim.Trace.intern trace_store name;
-            exec =
-              (match engine_kind with
-              | Reference -> Exec_interp (Efsm.Interp.create decl.Ir.machine)
-              | Compiled ->
-                Exec_compiled
-                  (Efsm.Compiled.create (program_of decl.Ir.machine)));
+            exec = Efsm.Exec.create exec_engine (program_of decl.Ir.machine);
             queue = Sim.Mailbox.Flat.create ~dummy:[] ();
             busy = false;
             timer = Sim.Engine.never;
             armed_state = "";
             timer_fire = ignore;
             sched = env_rtos;
-            eff_rest = [];
             eff_idx = 0;
+            eff_len = 0;
             eff_k = ignore;
             eff_cycles = 0;
             eff_cont = ignore;
-            eff_cont_b = ignore;
             sig_map = [||];
             finish_fn = ignore;
             current_flow = -1;
@@ -1069,7 +986,6 @@ let create ?trace:(trace_store = Sim.Trace.create ()) ?faults ?obs ?flows
         st_transfer = Sim.Trace.intern trace_store "transfer";
         st_retransmit = Sim.Trace.intern trace_store "retransmit";
         st_end = Sim.Trace.intern trace_store "end";
-        overhead_eff = Efsm.Action.Eff_compute sys.Ir.dispatch_overhead_cycles;
         overhead_cycles = sys.Ir.dispatch_overhead_cycles;
         m_exec_cycles = Obs.Metrics.counter metrics "app.exec_cycles_total";
         m_signals = Obs.Metrics.counter metrics "app.signals_sent";
@@ -1086,7 +1002,7 @@ let create ?trace:(trace_store = Sim.Trace.create ()) ?faults ?obs ?flows
             proc.timer <- Sim.Engine.never;
             (* Stale timers (state changed meanwhile) are discarded; only
                deliver when still in the armed state. *)
-            if exec_state proc.exec = proc.armed_state then begin
+            if Efsm.Exec.state proc.exec = proc.armed_state then begin
               Sim.Mailbox.Flat.push proc.queue t.timeout_id (-1)
                 (Sim.Engine.now_ns t.engine)
                 [];
@@ -1095,14 +1011,7 @@ let create ?trace:(trace_store = Sim.Trace.create ()) ?faults ?obs ?flows
         proc.eff_cont <-
           (fun () ->
             record_exec_i t proc proc.eff_cycles;
-            run_effects t proc proc.eff_rest proc.eff_k);
-        (match proc.exec with
-        | Exec_compiled vm ->
-          proc.eff_cont_b <-
-            (fun () ->
-              record_exec_i t proc proc.eff_cycles;
-              run_effects_c t proc vm proc.eff_idx proc.eff_k)
-        | Exec_interp _ -> ());
+            run_effects t proc proc.eff_idx proc.eff_k);
         proc.finish_fn <-
           (fun () ->
             proc.busy <- false;
@@ -1114,15 +1023,11 @@ let create ?trace:(trace_store = Sim.Trace.create ()) ?faults ?obs ?flows
 let start t =
   Hashtbl.iter
     (fun _ proc ->
-      let effects =
-        exec_initial_entry proc.exec @ exec_run_completions proc.exec
-      in
-      if effects <> [] then begin
+      Efsm.Exec.start proc.exec;
+      proc.eff_len <- Efsm.Exec.effect_count proc.exec;
+      if proc.eff_len > 0 then begin
         proc.busy <- true;
-        run_effects t proc effects (fun () ->
-            proc.busy <- false;
-            arm_timer t proc;
-            pump t proc)
+        run_effects t proc 0 proc.finish_fn
       end
       else arm_timer t proc)
     t.procs;
@@ -1183,12 +1088,12 @@ let pe_queue_high_water t =
   |> List.sort compare
 
 let process_state t name =
-  Option.map (fun p -> exec_state p.exec) (Hashtbl.find_opt t.procs name)
+  Option.map (fun p -> Efsm.Exec.state p.exec) (Hashtbl.find_opt t.procs name)
 
 let process_var t name var =
   match Hashtbl.find_opt t.procs name with
   | None -> None
-  | Some p -> exec_read_var p.exec var
+  | Some p -> Efsm.Exec.read_var p.exec var
 
 let pe_busy_ns t =
   Hashtbl.fold (fun name r acc -> (name, Sim.Rtos.busy_ns r) :: acc) t.rtos []

@@ -15,25 +15,19 @@
 
 type t
 
-type engine_kind = Reference | Compiled
-(** Which EFSM execution engine the processes run on.  [Compiled]
-    executes {!Efsm.Compiled} bytecode over interned dispatch tables;
-    [Reference] is the tree-walking {!Efsm.Interp}, the readable
-    semantics that the differential tests compare [Compiled] against.
-    Both run on the same {!Sim.Engine} calendar queue and produce
-    bit-identical traces. *)
-
 val create :
   ?trace:Sim.Trace.t ->
   ?faults:Fault.Injector.t ->
   ?obs:Obs.Scope.t ->
   ?flows:Obs.Flow.t ->
-  ?engine:engine_kind ->
+  ?engine:Efsm.Exec.engine ->
   Ir.system ->
   (t, string list) result
 (** Builds PEs, the HIBI network and process instances; returns errors
     from {!Ir.check} or inconsistent wrappers.  [engine] selects the
-    EFSM execution engine (default [Compiled]).  [obs] is threaded through
+    {!Efsm.Exec} engine every process runs on (default [Compiled]; the
+    [Reference] interpreter is the oracle of the differential tests,
+    and yields a bit-identical trace).  [obs] is threaded through
     every layer (engine, schedulers, HIBI) and additionally receives
     per-process send/discard counters, the [app.exec_cycles_total]
     counter (cross-checkable against the profiling report) and one trace

@@ -78,6 +78,7 @@ type program = {
   param_names : string array;
   param_ids : (string, int) Hashtbl.t;
   signal_ids : (string, int) Hashtbl.t;  (** consumed signals only *)
+  signal_names : string array;  (** inverse of [signal_ids] *)
   sites : send_site array;
   consts : Action.effect array;
       (** preallocated [Eff_compute] effects of literal compute costs *)
@@ -353,11 +354,10 @@ let compile machine =
   let entry_pc = Array.map (block_of machine.Machine.entry_actions) states in
   let exit_pc = Array.map (block_of machine.Machine.exit_actions) states in
   (* interning of consumed signals *)
+  let signal_names = Array.of_list (Machine.signals_consumed machine) in
   let signal_ids = Hashtbl.create 16 in
-  List.iteri
-    (fun i s -> Hashtbl.add signal_ids s i)
-    (Machine.signals_consumed machine);
-  let n_signals = Hashtbl.length signal_ids in
+  Array.iteri (fun i s -> Hashtbl.add signal_ids s i) signal_names;
+  let n_signals = Array.length signal_names in
   let state_id s = Hashtbl.find e.p_state_ids s in
   let ctrans_of (tr : Machine.transition) guard actions =
     {
@@ -454,6 +454,7 @@ let compile machine =
     param_names = Array.of_list (List.rev !(e.p_param_names));
     param_ids = e.p_param_ids;
     signal_ids;
+    signal_names;
     sites = Array.of_list (List.rev !(e.prog_sites));
     consts = Array.of_list (List.rev !(e.prog_consts));
     var_init_v;
@@ -924,6 +925,12 @@ let fire_timer_id t ~entered_state =
     end
   end
 
+let start_id t =
+  clear_params t;
+  t.eff_len <- 0;
+  run_block t t.prog.entry_pc.(t.prog.initial_state);
+  run_completions_into t
+
 let effect_count t = t.eff_len
 let effect_at t i = t.eff.(i)
 
@@ -982,6 +989,8 @@ let state_id_of_name prog name =
   find 0
 
 let signal_id_of_name prog name = Hashtbl.find_opt prog.signal_ids name
+let signal_name_of_id prog i = prog.signal_names.(i)
+let program_machine prog = prog.machine
 let after_min_of prog s = prog.after_min.(s)
 let state_id t = t.state
 let set_state_id t i = t.state <- i

@@ -81,6 +81,11 @@ val fire_timer_id : t -> entered_state:string -> bool
 (** Same transition semantics as {!fire_timer}, buffer-backed like
     {!dispatch_id}. *)
 
+val start_id : t -> unit
+(** {!initial_entry} followed by {!run_completions}, buffer-backed: the
+    initial-entry effects and then the completion effects are left in
+    the buffer, as one sequence. *)
+
 val effect_count : t -> int
 (** Number of effects produced by the last fired [_id] dispatch. *)
 
@@ -108,6 +113,12 @@ val state_id_of_name : program -> string -> int option
 val signal_id_of_name : program -> string -> int option
 (** Consumed signals only; [None] means a dispatch of this signal is
     discarded without looking at the state. *)
+
+val signal_name_of_id : program -> int -> string
+(** Inverse of {!signal_id_of_name}, for ids [0 .. n - 1]. *)
+
+val program_machine : program -> Machine.t
+(** The machine the program was compiled from. *)
 
 val after_min_of : program -> int -> int
 (** Earliest [After] delay out of the given state id, [-1] when the

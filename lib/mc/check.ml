@@ -218,7 +218,7 @@ let run ?(obs = Obs.Scope.null ()) ?(options = default_options) model =
       | None -> (None, None)
       | Some (_, schedule) -> (
         match
-          Counterexample.emit_result net ~engine:Net.Compiled
+          Counterexample.emit_result net ~engine:Efsm.Exec.Compiled
             ~capacity:options.budget.Explore.queue_capacity ~schedule
         with
         | Ok (t, s) -> (Some t, Some s)

@@ -45,7 +45,7 @@ let fail fmt = Printf.ksprintf (fun s -> raise (Replay_error s)) fmt
 let emit (net : Net.t) ~engine ~capacity ~(schedule : Explore.step list) =
   let trace = Sim.Trace.create () in
   let execs =
-    Array.map (fun inst -> Net.make_exec engine inst) net.Net.insts
+    Array.map (fun inst -> Efsm.Exec.create engine inst.Net.prog) net.Net.insts
   in
   let queues = Array.make (Net.n_insts net) ([] : qmsg list) in
   let overflowed = ref None in
@@ -75,45 +75,46 @@ let emit (net : Net.t) ~engine ~capacity ~(schedule : Explore.step list) =
     end
     else queues.(dest) <- queues.(dest) @ [ { q_gsig = gsig; q_args = args } ]
   in
-  let route_effects ~time (inst : Net.inst) effects =
-    List.iter
-      (fun effect ->
-        if !overflowed = None then
-          match effect with
-          | Efsm.Action.Eff_compute cycles ->
-            record
-              (Sim.Trace.Exec
-                 {
-                   time;
-                   process = inst.Net.path;
-                   cycles = Int64.of_int cycles;
-                 })
-          | Efsm.Action.Eff_send { port; signal; args } -> (
-            match Net.find_route inst ~port ~signal with
-            | None -> ()
-            | Some r ->
-              if Array.length r.Net.rt_dests = 0 then begin
-                if r.Net.rt_env then
-                  record
-                    (Sim.Trace.Signal
-                       {
-                         time;
-                         sender = inst.Net.path;
-                         receiver = "env";
-                         signal;
-                         words = Net.sig_words net r.Net.rt_gsig;
-                         tag = -1;
-                       })
-              end
-              else
-                let args = Array.of_list args in
-                Array.iter
-                  (fun dest ->
-                    if !overflowed = None then
-                      enqueue ~time ~sender:inst.Net.path dest r.Net.rt_gsig
-                        args)
-                  r.Net.rt_dests))
-      effects
+  (* Route the effects the instance's last step left in its buffer. *)
+  let route_effects ~time (inst : Net.inst) =
+    let e = execs.(inst.Net.ix) in
+    for i = 0 to Efsm.Exec.effect_count e - 1 do
+      if !overflowed = None then
+        match Efsm.Exec.effect_at e i with
+        | Efsm.Action.Eff_compute cycles ->
+          record
+            (Sim.Trace.Exec
+               {
+                 time;
+                 process = inst.Net.path;
+                 cycles = Int64.of_int cycles;
+               })
+        | Efsm.Action.Eff_send { port; signal; args } -> (
+          match Net.find_route inst ~port ~signal with
+          | None -> ()
+          | Some r ->
+            if Array.length r.Net.rt_dests = 0 then begin
+              if r.Net.rt_env then
+                record
+                  (Sim.Trace.Signal
+                     {
+                       time;
+                       sender = inst.Net.path;
+                       receiver = "env";
+                       signal;
+                       words = Net.sig_words net r.Net.rt_gsig;
+                       tag = -1;
+                     })
+            end
+            else
+              let args = Array.of_list args in
+              Array.iter
+                (fun dest ->
+                  if !overflowed = None then
+                    enqueue ~time ~sender:inst.Net.path dest r.Net.rt_gsig
+                      args)
+                r.Net.rt_dests)
+    done
   in
   let marker ~time kind target info =
     record (Sim.Trace.Fault { time; kind; target; info })
@@ -123,10 +124,8 @@ let emit (net : Net.t) ~engine ~capacity ~(schedule : Explore.step list) =
   Array.iter
     (fun (inst : Net.inst) ->
       if !overflowed = None then begin
-        let e = execs.(inst.Net.ix) in
-        route_effects ~time:0L inst (Net.exec_initial_entry e);
-        if !overflowed = None then
-          route_effects ~time:0L inst (Net.exec_run_completions e)
+        Efsm.Exec.start execs.(inst.Net.ix);
+        route_effects ~time:0L inst
       end)
     net.Net.insts;
   (* the schedule *)
@@ -150,47 +149,47 @@ let emit (net : Net.t) ~engine ~capacity ~(schedule : Explore.step list) =
         let signal = Net.sig_name net m.q_gsig in
         marker ~time "mc_deliver" inst.Net.path signal;
         let e = execs.(ix) in
-        let before = Net.exec_state e in
-        let step =
-          Net.exec_dispatch e ~signal
+        let before = Efsm.Exec.state e in
+        if
+          Efsm.Exec.dispatch_id e ~sid:(Efsm.Exec.signal_id e signal)
             ~args:(Net.bind_args net m.q_gsig m.q_args)
-        in
-        route_effects ~time inst step.Efsm.Interp.effects;
-        if step.Efsm.Interp.fired = None then
-          record (Sim.Trace.Discard { time; process = inst.Net.path; signal })
-        else
+        then begin
+          route_effects ~time inst;
           record
             (Sim.Trace.State_change
                {
                  time;
                  process = inst.Net.path;
                  from_ = before;
-                 to_ = Net.exec_state e;
-               }))
+                 to_ = Efsm.Exec.state e;
+               })
+        end
+        else
+          record (Sim.Trace.Discard { time; process = inst.Net.path; signal }))
     | Explore.S_timer ix ->
       let inst = net.Net.insts.(ix) in
       let e = execs.(ix) in
       let delay =
-        match Net.exec_timer_request e with
+        match Efsm.Exec.timer_request e with
         | Some d -> d
         | None -> fail "mc_timer at t=%d: no timer armed at %s" t inst.Net.path
       in
       marker ~time "mc_timer" inst.Net.path (string_of_int delay);
-      let before = Net.exec_state e in
-      let step = Net.exec_fire_timer e ~entered_state:before in
-      route_effects ~time inst step.Efsm.Interp.effects;
-      if step.Efsm.Interp.fired = None then
-        record
-          (Sim.Trace.Discard { time; process = inst.Net.path; signal = "timer" })
-      else
+      let before = Efsm.Exec.state e in
+      if Efsm.Exec.fire_timer_id e ~entered_state:before then begin
+        route_effects ~time inst;
         record
           (Sim.Trace.State_change
              {
                time;
                process = inst.Net.path;
                from_ = before;
-               to_ = Net.exec_state e;
-             }));
+               to_ = Efsm.Exec.state e;
+             })
+      end
+      else
+        record
+          (Sim.Trace.Discard { time; process = inst.Net.path; signal = "timer" }));
     incr steps_run
   in
   (try
@@ -209,7 +208,7 @@ let emit (net : Net.t) ~engine ~capacity ~(schedule : Explore.step list) =
             let inst = net.Net.insts.(ix) in
             match
               Efsm.Compiled.state_id_of_name inst.Net.prog
-                (Net.exec_state execs.(ix))
+                (Efsm.Exec.state execs.(ix))
             with
             | Some s -> s
             | None -> fail "unknown state at %s" inst.Net.path)
@@ -232,7 +231,7 @@ let emit (net : Net.t) ~engine ~capacity ~(schedule : Explore.step list) =
     Array.to_list net.Net.insts
     |> List.map (fun (inst : Net.inst) ->
            ( inst.Net.path,
-             Net.exec_state execs.(inst.Net.ix),
+             Efsm.Exec.state execs.(inst.Net.ix),
              List.length queues.(inst.Net.ix) ))
   in
   (trace, { s_steps = !steps_run; s_verdict = verdict; s_final = final })

@@ -454,45 +454,3 @@ let blocked_set t ~state_of ~queue_empty =
   let blocked = Array.make n false in
   if not (mark_blocked t blocked ~state_of ~queue_empty) then []
   else List.filter (fun i -> blocked.(i)) (List.init n Fun.id)
-
-(* ---- engine-polymorphic executors ------------------------------------ *)
-(* The explorer always runs the compiled engine (it needs id-level
-   snapshots); counterexample emission and replay are parameterised so a
-   trace can be validated under both engines. *)
-
-type engine = Reference | Compiled
-
-type exec =
-  | E_ref of Efsm.Interp.t
-  | E_comp of Efsm.Compiled.t
-
-let make_exec engine inst =
-  match engine with
-  | Reference -> E_ref (Efsm.Interp.create inst.machine)
-  | Compiled -> E_comp (Efsm.Compiled.create inst.prog)
-
-let exec_state = function
-  | E_ref i -> Efsm.Interp.state i
-  | E_comp c -> Efsm.Compiled.state c
-
-let exec_dispatch e ~signal ~args =
-  match e with
-  | E_ref i -> Efsm.Interp.dispatch i ~signal ~args
-  | E_comp c -> Efsm.Compiled.dispatch c ~signal ~args
-
-let exec_fire_timer e ~entered_state =
-  match e with
-  | E_ref i -> Efsm.Interp.fire_timer i ~entered_state
-  | E_comp c -> Efsm.Compiled.fire_timer c ~entered_state
-
-let exec_initial_entry = function
-  | E_ref i -> Efsm.Interp.initial_entry i
-  | E_comp c -> Efsm.Compiled.initial_entry c
-
-let exec_run_completions = function
-  | E_ref i -> Efsm.Interp.run_completions i
-  | E_comp c -> Efsm.Compiled.run_completions c
-
-let exec_timer_request = function
-  | E_ref i -> Efsm.Interp.timer_request i
-  | E_comp c -> Efsm.Compiled.timer_request c

@@ -71,33 +71,34 @@ let stage_of_hdr ~origin ~stage (s : Obs.Histogram.snapshot) =
     s_max_ns = s.Obs.Histogram.s_max;
   }
 
-let retry_rows trace =
-  match trace with
-  | None -> ([], 0)
-  | Some trace ->
-    let table = Hashtbl.create 8 in
-    let giveups = ref 0 in
-    Sim.Trace.iter trace
-      (fun event ->
-        match event with
-        | Sim.Trace.Retransmit { signal; attempt; _ } ->
-          let retries, max_attempt =
-            Option.value ~default:(0, 0) (Hashtbl.find_opt table signal)
-          in
-          Hashtbl.replace table signal (retries + 1, max max_attempt attempt)
-        | Sim.Trace.Fault { kind = "arq_giveup"; _ } -> incr giveups
-        | _ -> ());
-    let rows =
-      Hashtbl.fold
-        (fun signal (retries, max_attempt) acc ->
-          { r_signal = signal; r_retries = retries; r_max_attempt = max_attempt }
-          :: acc)
-        table []
-      |> List.sort (fun a b -> String.compare a.r_signal b.r_signal)
-    in
-    (rows, !giveups)
+(* The retry section's tallies, fed one event at a time so that
+   {!of_trace} takes them in the same walk of the log as the flow hops. *)
+type retry_tally = {
+  per_signal : (string, int * int) Hashtbl.t;  (** retries, max attempt *)
+  mutable giveups : int;
+}
 
-let of_snapshot ?duration_ns ?(pe_busy = []) ?(segments = []) ?pe_peaks ?trace
+let new_tally () = { per_signal = Hashtbl.create 8; giveups = 0 }
+
+let tally_event tally = function
+  | Sim.Trace.Retransmit { signal; attempt; _ } ->
+    let retries, max_attempt =
+      Option.value ~default:(0, 0) (Hashtbl.find_opt tally.per_signal signal)
+    in
+    Hashtbl.replace tally.per_signal signal (retries + 1, max max_attempt attempt)
+  | Sim.Trace.Fault { kind = "arq_giveup"; _ } ->
+    tally.giveups <- tally.giveups + 1
+  | _ -> ()
+
+let retry_rows tally =
+  Hashtbl.fold
+    (fun signal (retries, max_attempt) acc ->
+      { r_signal = signal; r_retries = retries; r_max_attempt = max_attempt }
+      :: acc)
+    tally.per_signal []
+  |> List.sort (fun a b -> String.compare a.r_signal b.r_signal)
+
+let build ?duration_ns ?(pe_busy = []) ?(segments = []) ?pe_peaks tally
     snapshot =
   let minted = ref 0 and completed = ref 0 in
   let classes = ref [] and stages = ref [] in
@@ -173,7 +174,6 @@ let of_snapshot ?duration_ns ?(pe_busy = []) ?(segments = []) ?pe_peaks ?trace
         { seg; seg_words; seg_peak_waiting })
       (List.sort compare segments)
   in
-  let retries, giveups = retry_rows trace in
   {
     minted = !minted;
     completed = !completed;
@@ -181,14 +181,22 @@ let of_snapshot ?duration_ns ?(pe_busy = []) ?(segments = []) ?pe_peaks ?trace
     stages;
     pes;
     segments;
-    retries;
-    giveups;
+    retries = retry_rows tally;
+    giveups = tally.giveups;
     duration_ns;
   }
 
+let of_snapshot ?duration_ns ?pe_busy ?segments ?pe_peaks ?trace snapshot =
+  let tally = new_tally () in
+  Option.iter (fun trace -> Sim.Trace.iter trace (tally_event tally)) trace;
+  build ?duration_ns ?pe_busy ?segments ?pe_peaks tally snapshot
+
+(* One walk of the log: flow hops rebuild the flow sections, every other
+   event feeds the retry tallies. *)
 let of_trace trace =
   let metrics = Obs.Metrics.create () in
   let flows = Obs.Flow.create ~metrics () in
+  let tally = new_tally () in
   Sim.Trace.iter trace
     (fun event ->
       match event with
@@ -200,8 +208,8 @@ let of_trace trace =
         match Obs.Flow.stage_of_name stage with
         | Some s -> Obs.Flow.hop flows ~flow ~stage:s ~dur_ns:dur
         | None -> ())
-      | _ -> ());
-  of_snapshot ~trace (Obs.Metrics.snapshot metrics)
+      | event -> tally_event tally event);
+  build tally (Obs.Metrics.snapshot metrics)
 
 let render_text t =
   let b = Buffer.create 2048 in

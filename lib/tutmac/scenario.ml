@@ -8,7 +8,7 @@ type config = {
   dispatch_overhead_cycles : int;
   faults : Fault.Plan.t;
   fault_seed : int;
-  engine : Codegen.Runtime.engine_kind;
+  engine : Efsm.Exec.engine;
   trace_backend : Sim.Trace.backend;
 }
 
@@ -23,7 +23,7 @@ let default =
     dispatch_overhead_cycles = 20;
     faults = Fault.Plan.empty;
     fault_seed = 1;
-    engine = Codegen.Runtime.Compiled;
+    engine = Efsm.Exec.Compiled;
     trace_backend = Sim.Trace.Arena;
   }
 

@@ -22,9 +22,9 @@ type config = {
       (** Fault-injection plan; {!Fault.Plan.empty} (the default) keeps
           the run byte-identical to a fault-free one. *)
   fault_seed : int;  (** Seed of the injection schedule (default 1). *)
-  engine : Codegen.Runtime.engine_kind;
+  engine : Efsm.Exec.engine;
       (** EFSM execution engine (default [Compiled]).  [Reference] runs
-          the {!Efsm.Interp} oracle the differential tests compare
+          the interpreter oracle the differential tests compare
           against; traces are bit-identical. *)
   trace_backend : Sim.Trace.backend;
       (** Event-log store; [Arena] is the only one. *)

@@ -25,8 +25,7 @@
    jitter, backoff) or a per-(spec, terminal) stream inside
    [Fault.Injector] (channel faults), and every event is scheduled from
    a deterministic closure, so a [(plan, seed)] pair replays
-   bit-identically across engines, repeated runs and any aggregation
-   [jobs] count. *)
+   bit-identically across engines and repeated runs. *)
 
 type churn_action = Leave | Rejoin
 
@@ -45,7 +44,7 @@ type config = {
   faults : Fault.Plan.t;
   fault_seed : int;
   jobs : int;
-  engine : Codegen.Runtime.engine_kind;
+  engine : Efsm.Exec.engine;
 }
 
 let default =
@@ -62,7 +61,7 @@ let default =
     faults = Fault.Plan.empty;
     fault_seed = 1;
     jobs = 1;
-    engine = Codegen.Runtime.Compiled;
+    engine = Efsm.Exec.Compiled;
   }
 
 (* ---- churn specs --------------------------------------------------- *)
@@ -239,26 +238,8 @@ let mac_machine ~max_retries ~cw_min ~cw_max =
           ];
     ]
 
-(* ---- engine duality ------------------------------------------------ *)
-
-type exec = Ref of Efsm.Interp.t | Comp of Efsm.Compiled.t
-
-let exec_dispatch e ~signal ~args =
-  match e with
-  | Ref t -> Efsm.Interp.dispatch t ~signal ~args
-  | Comp t -> Efsm.Compiled.dispatch t ~signal ~args
-
-let exec_state = function
-  | Ref t -> Efsm.Interp.state t
-  | Comp t -> Efsm.Compiled.state t
-
-let exec_var e name =
-  let value =
-    match e with
-    | Ref t -> Efsm.Interp.read_var t name
-    | Comp t -> Efsm.Compiled.read_var t name
-  in
-  match value with Some (Efsm.Action.V_int n) -> n | _ -> 0
+let int_var ex name =
+  match Efsm.Exec.read_var ex name with Some (Efsm.Action.V_int n) -> n | _ -> 0
 
 (* ---- frames and terminals ------------------------------------------ *)
 
@@ -279,7 +260,10 @@ type terminal = {
   name_id : int;  (* interned in the trace *)
   profile : Workload.profile;
   class_name : string;
-  exec : exec;
+  exec : Efsm.Exec.t;
+  mutable serve_next : bool;
+      (* the MAC finished its frame during the effect walk in progress;
+         the next one is dispatched when the walk ends *)
   arrivals : Prng.t;
   backoff : Prng.t;
   mutable alive : bool;
@@ -292,8 +276,9 @@ type terminal = {
   mutable burst_until : int;
   mutable burst_left : int;  (* bursty profile: frames left in burst *)
   mutable vframe : int;  (* video profile: frame counter *)
-  latency : Obs.Histogram.t;  (* e2e ns of frames this terminal sent *)
-  retry_dist : Obs.Histogram.t;  (* attempt number of every retry *)
+  latency : Obs.Histogram.t;
+      (* e2e ns of frames this terminal sent: its traffic class's
+         histogram, shared by every terminal of the class *)
   mutable offered : int;
   mutable delivered : int;  (* frames it originated, delivered to dst *)
   mutable abandoned : int;
@@ -316,6 +301,7 @@ type terminal_stats = {
   ts_attempts : int;
   ts_collisions : int;
   ts_retries : int;
+  ts_unresolved : int;
   ts_mac_tx_frames : int;  (* read back from the MAC's own variables *)
   ts_mac_rx_frames : int;
   ts_mac_rx_frags : int;
@@ -344,57 +330,6 @@ type result = {
   fault_stats : Fault.Stats.t option;
 }
 
-(* ---- deterministic aggregation ------------------------------------- *)
-
-(* Merge per-terminal histogram snapshots into per-class snapshots.
-   With [jobs > 1] contiguous terminal chunks merge on a domain pool;
-   the merge algebra is commutative and associative and chunk results
-   fold in chunk order, so the outcome is identical for every jobs
-   count. *)
-let aggregate ~jobs ~classes ~class_of lat_snaps retry_snaps =
-  let n = Array.length lat_snaps in
-  let merge_range lo hi =
-    let by_class =
-      List.map
-        (fun cls ->
-          let merged = ref Obs.Histogram.empty in
-          for idx = lo to hi - 1 do
-            if String.equal (class_of idx) cls then
-              merged := Obs.Histogram.merge !merged lat_snaps.(idx)
-          done;
-          (cls, !merged))
-        classes
-    in
-    let retry = ref Obs.Histogram.empty in
-    for idx = lo to hi - 1 do
-      retry := Obs.Histogram.merge !retry retry_snaps.(idx)
-    done;
-    (by_class, !retry)
-  in
-  let chunks =
-    if jobs <= 1 || n <= 1 then [ merge_range 0 n ]
-    else begin
-      let jobs = min jobs n in
-      let per = (n + jobs - 1) / jobs in
-      let thunks =
-        List.init jobs (fun j ->
-            let lo = j * per in
-            let hi = min n ((j + 1) * per) in
-            fun () -> merge_range lo (max lo hi))
-      in
-      Dse.Pool.with_pool ~domains:jobs (fun pool -> Dse.Pool.map pool thunks)
-    end
-  in
-  List.fold_left
-    (fun (acc_cls, acc_retry) (by_class, retry) ->
-      ( List.map2
-          (fun (cls, acc) (_, part) -> (cls, Obs.Histogram.merge acc part))
-          acc_cls by_class,
-        Obs.Histogram.merge acc_retry retry ))
-    ( List.map (fun cls -> (cls, Obs.Histogram.empty)) classes,
-      Obs.Histogram.empty )
-    chunks
-
 (* ---- the simulation ------------------------------------------------ *)
 
 let validate config =
@@ -406,7 +341,6 @@ let validate config =
   if config.cw_min < 1 then fail "Wlan.run: cw_min must be >= 1";
   if config.cw_max < config.cw_min then
     fail "Wlan.run: cw_max must be >= cw_min";
-  if config.jobs < 1 then fail "Wlan.run: jobs must be >= 1";
   List.iter
     (fun ev ->
       if ev.terminal < 0 || ev.terminal >= config.terminals then
@@ -452,11 +386,16 @@ let run ?(obs = Obs.Scope.null ()) config =
     mac_machine ~max_retries:config.max_retries ~cw_min:config.cw_min
       ~cw_max:config.cw_max
   in
-  let program =
-    match config.engine with
-    | Codegen.Runtime.Compiled -> Some (Efsm.Compiled.compile machine)
-    | Codegen.Runtime.Reference -> None
+  let program = Efsm.Compiled.compile machine in
+  (* Latency is recorded straight into one histogram per traffic class
+     (sorted by class name) and retries into one for the fleet. *)
+  let class_of id = Workload.profile_name (Workload.profile_for ~mix:config.mix id) in
+  let latency_by_class =
+    List.init n class_of
+    |> List.sort_uniq String.compare
+    |> List.map (fun cls -> (cls, Obs.Histogram.create ()))
   in
+  let retry_dist = Obs.Histogram.create () in
   let terminals =
     Array.init n (fun id ->
         let name = Printf.sprintf "t%03d" id in
@@ -465,12 +404,9 @@ let run ?(obs = Obs.Scope.null ()) config =
           name;
           name_id = Sim.Trace.intern trace name;
           profile = Workload.profile_for ~mix:config.mix id;
-          class_name =
-            Workload.profile_name (Workload.profile_for ~mix:config.mix id);
-          exec =
-            (match program with
-            | Some prog -> Comp (Efsm.Compiled.create prog)
-            | None -> Ref (Efsm.Interp.create machine));
+          class_name = class_of id;
+          exec = Efsm.Exec.create config.engine program;
+          serve_next = false;
           arrivals = Prng.split ~seed:config.seed ~stream:(2 * id);
           backoff = Prng.split ~seed:config.seed ~stream:((2 * id) + 1);
           alive = true;
@@ -483,8 +419,7 @@ let run ?(obs = Obs.Scope.null ()) config =
           burst_until = -1;
           burst_left = 0;
           vframe = 0;
-          latency = Obs.Histogram.create ();
-          retry_dist = Obs.Histogram.create ();
+          latency = List.assoc (class_of id) latency_by_class;
           offered = 0;
           delivered = 0;
           abandoned = 0;
@@ -520,33 +455,45 @@ let run ?(obs = Obs.Scope.null ()) config =
       (Sim.Trace.Fault { time = Int64.of_int time; kind; target; info })
   in
   let next_boundary now = ((now / slot) + 1) * slot in
-  (* [dispatch_mac] and the effect interpreter are mutually recursive
-     (an effect of one dispatch can trigger another dispatch); the knot
-     is tied through a forward reference. *)
-  let apply_effect_fwd =
-    ref (fun (_ : terminal) (_ : Efsm.Action.effect) -> ())
-  in
-  let dispatch_mac t ~sender ~sig_id ~signal ~args ~words ~tag ~record =
+  (* Every MAC runs the same program, so one executor resolves the
+     dispatch ids of all of them. *)
+  let sid_of name = Efsm.Exec.signal_id terminals.(0).exec name in
+  let sid_frame = sid_of sig_frame
+  and sid_txok = sid_of sig_txok
+  and sid_txfail = sid_of sig_txfail
+  and sid_rx = sid_of sig_rx
+  and sid_leave = sid_of sig_leave
+  and sid_join = sid_of sig_join in
+  let vint = function Efsm.Action.V_int x -> x | Efsm.Action.V_bool _ -> 0 in
+  (* An effect can lead to another dispatch, so the MAC dispatcher, the
+     effect interpreter and the channel are one recursive group. *)
+  let rec dispatch_mac t ~sender ~sig_id ~sid ~args ~words ~tag ~record =
     let now = Sim.Engine.now_ns engine in
     if record then
       Sim.Trace.record_signal trace ~time:now ~sender ~receiver:t.name_id
         ~signal:sig_id ~words ~tag;
-    let before = exec_state t.exec in
-    let step = exec_dispatch t.exec ~signal ~args in
-    (match step.Efsm.Interp.fired with
-    | None ->
+    let before = Efsm.Exec.state t.exec in
+    if not (Efsm.Exec.dispatch_id t.exec ~sid ~args) then
       Sim.Trace.record_discard trace ~time:now ~process:t.name_id
         ~signal:sig_id
-    | Some _ ->
-      let after = exec_state t.exec in
+    else begin
+      let after = Efsm.Exec.state t.exec in
       if not (String.equal before after) then
         Sim.Trace.record_state_change trace ~time:now ~process:t.name_id
           ~from_:(Sim.Trace.intern trace before)
-          ~to_:(Sim.Trace.intern trace after));
-    List.iter (fun eff -> !apply_effect_fwd t eff) step.Efsm.Interp.effects
-  in
-  let vint = function Efsm.Action.V_int x -> x | Efsm.Action.V_bool _ -> 0 in
-  let rec apply_effect t eff =
+          ~to_:(Sim.Trace.intern trace after);
+      (* The walk reads the effect count once and never re-enters this
+         MAC: serving the next frame dispatches into the same effect
+         buffer, so it waits until the walk ends. *)
+      for i = 0 to Efsm.Exec.effect_count t.exec - 1 do
+        apply_effect t (Efsm.Exec.effect_at t.exec i)
+      done;
+      if t.serve_next then begin
+        t.serve_next <- false;
+        start_next t
+      end
+    end
+  and apply_effect t eff =
     let now = Sim.Engine.now_ns engine in
     match eff with
     | Efsm.Action.Eff_compute cycles ->
@@ -566,7 +513,7 @@ let run ?(obs = Obs.Scope.null ()) config =
         let cw = vint (List.nth args 0) and retry = vint (List.nth args 1) in
         t.retried <- t.retried + 1;
         Obs.Metrics.inc m_retries;
-        Obs.Histogram.record t.retry_dist retry;
+        Obs.Histogram.record retry_dist retry;
         Sim.Trace.record_retransmit trace ~time:now ~sender:t.name_id
           ~receiver:id_chan ~signal:id_txreq ~attempt:retry;
         let k = Prng.int t.backoff cw in
@@ -584,14 +531,14 @@ let run ?(obs = Obs.Scope.null ()) config =
         t.abandoned <- t.abandoned + 1;
         Obs.Metrics.inc m_abandoned;
         t.cur <- None;
-        start_next t
+        t.serve_next <- true
       end
       else if String.equal signal sig_done then begin
         let seq = vint (List.nth args 0) in
         Sim.Trace.record_signal trace ~time:now ~sender:t.name_id
           ~receiver:id_chan ~signal:id_done ~words:2 ~tag:seq;
         t.cur <- None;
-        start_next t
+        t.serve_next <- true
       end
       else if String.equal signal sig_deliver then begin
         (* [t] is the receiver here; latency is attributed to the
@@ -614,7 +561,7 @@ let run ?(obs = Obs.Scope.null ()) config =
         t.cur <- Some f;
         (* The offered-frame S line was recorded at arrival; serving it
            from the queue is not a second transfer. *)
-        dispatch_mac t ~sender:id_env ~sig_id:id_frame_sig ~signal:sig_frame
+        dispatch_mac t ~sender:id_env ~sig_id:id_frame_sig ~sid:sid_frame
           ~args:
             [
               ("seq", Efsm.Action.V_int f.f_seq);
@@ -698,7 +645,7 @@ let run ?(obs = Obs.Scope.null ()) config =
        outcome — a D line — and a rejoined MAC must not see a stale
        verdict for a flushed frame. *)
     let fail () =
-      dispatch_mac t ~sender:id_chan ~sig_id:id_txfail ~signal:sig_txfail
+      dispatch_mac t ~sender:id_chan ~sig_id:id_txfail ~sid:sid_txfail
         ~args:[] ~words:2 ~tag:t.att_seq ~record:true
     in
     if t.epoch <> epoch then begin
@@ -719,7 +666,7 @@ let run ?(obs = Obs.Scope.null ()) config =
             let last = if t.att_frag = f.f_frags - 1 then 1 else 0 in
             incr frags_through;
             Obs.Metrics.inc m_frags;
-            dispatch_mac dst ~sender:id_chan ~sig_id:id_rx ~signal:sig_rx
+            dispatch_mac dst ~sender:id_chan ~sig_id:id_rx ~sid:sid_rx
               ~args:
                 [
                   ("seq", Efsm.Action.V_int f.f_seq);
@@ -727,12 +674,11 @@ let run ?(obs = Obs.Scope.null ()) config =
                   ("last", Efsm.Action.V_int last);
                 ]
               ~words:16 ~tag:f.f_seq ~record:true;
-            dispatch_mac t ~sender:id_chan ~sig_id:id_txok ~signal:sig_txok
+            dispatch_mac t ~sender:id_chan ~sig_id:id_txok ~sid:sid_txok
               ~args:[] ~words:2 ~tag:f.f_seq ~record:true
           end
         | _ -> fail ())
   in
-  apply_effect_fwd := apply_effect;
   (* ---- workload ---------------------------------------------------- *)
   let gap_hint t =
     match t.profile with
@@ -784,7 +730,7 @@ let run ?(obs = Obs.Scope.null ()) config =
     if not t.alive then begin
       (* The user keeps offering; the departed MAC discards (D line)
          and the frame is accounted as cleanly flushed. *)
-      dispatch_mac t ~sender:id_env ~sig_id:id_frame_sig ~signal:sig_frame
+      dispatch_mac t ~sender:id_env ~sig_id:id_frame_sig ~sid:sid_frame
         ~args:
           [
             ("seq", Efsm.Action.V_int f.f_seq);
@@ -828,7 +774,7 @@ let run ?(obs = Obs.Scope.null ()) config =
         stats.Fault.Stats.term_crashes <- stats.Fault.Stats.term_crashes + 1
       | _ -> ());
       flush t;
-      dispatch_mac t ~sender:id_env ~sig_id:id_leave_sig ~signal:sig_leave
+      dispatch_mac t ~sender:id_env ~sig_id:id_leave_sig ~sid:sid_leave
         ~args:[] ~words:1 ~tag:(-1) ~record:true
     end
   in
@@ -839,7 +785,7 @@ let run ?(obs = Obs.Scope.null ()) config =
       t.burst_until <- -1;
       record_fault ~time:now "term_join" t.name "-";
       incr joins;
-      dispatch_mac t ~sender:id_env ~sig_id:id_join_sig ~signal:sig_join
+      dispatch_mac t ~sender:id_env ~sig_id:id_join_sig ~sid:sid_join
         ~args:[] ~words:1 ~tag:(-1) ~record:true
     end
   in
@@ -875,21 +821,10 @@ let run ?(obs = Obs.Scope.null ()) config =
     Sim.Engine.run ~until:(Int64.of_int config.duration_ns) engine
   in
   (* ---- gather ------------------------------------------------------ *)
-  let classes =
-    List.sort_uniq String.compare
-      (Array.to_list (Array.map (fun t -> t.class_name) terminals))
+  let latency =
+    List.map (fun (cls, h) -> (cls, Obs.Histogram.snapshot h)) latency_by_class
   in
-  let lat_snaps =
-    Array.map (fun (t : terminal) -> Obs.Histogram.snapshot t.latency) terminals
-  in
-  let retry_snaps =
-    Array.map (fun t -> Obs.Histogram.snapshot t.retry_dist) terminals
-  in
-  let latency, retry_snapshot =
-    aggregate ~jobs:config.jobs ~classes
-      ~class_of:(fun idx -> terminals.(idx).class_name)
-      lat_snaps retry_snaps
-  in
+  let retry_snapshot = Obs.Histogram.snapshot retry_dist in
   (* Surface the per-class percentiles through the metrics registry. *)
   List.iter
     (fun (cls, snap) ->
@@ -901,6 +836,15 @@ let run ?(obs = Obs.Scope.null ()) config =
     (Obs.Metrics.hdr metrics "wlan.retry_attempt")
     retry_snapshot;
   let sum f = Array.fold_left (fun acc t -> acc + f t) 0 terminals in
+  (* Frames still queued or in flight at the horizon, counted from the
+     frame table rather than as the residual of the other outcomes, so
+     the accounting identity can fail. *)
+  let unresolved = Array.make n 0 in
+  for seq = 0 to !n_frames - 1 do
+    let f = frame_of_seq seq in
+    if f.f_status = Unresolved then
+      unresolved.(f.f_src) <- unresolved.(f.f_src) + 1
+  done;
   let offered = sum (fun t -> t.offered)
   and delivered = sum (fun t -> t.delivered)
   and abandoned = sum (fun t -> t.abandoned)
@@ -919,9 +863,10 @@ let run ?(obs = Obs.Scope.null ()) config =
           ts_attempts = t.tx_attempts;
           ts_collisions = t.collided;
           ts_retries = t.retried;
-          ts_mac_tx_frames = exec_var t.exec "tx_frames";
-          ts_mac_rx_frames = exec_var t.exec "rx_frames";
-          ts_mac_rx_frags = exec_var t.exec "rx_frags";
+          ts_unresolved = unresolved.(t.id);
+          ts_mac_tx_frames = int_var t.exec "tx_frames";
+          ts_mac_rx_frames = int_var t.exec "rx_frames";
+          ts_mac_rx_frags = int_var t.exec "rx_frags";
         })
       terminals
   in
@@ -933,7 +878,7 @@ let run ?(obs = Obs.Scope.null ()) config =
     delivered;
     abandoned;
     flushed;
-    unresolved = offered - delivered - abandoned - flushed;
+    unresolved = Array.fold_left ( + ) 0 unresolved;
     attempts = sum (fun t -> t.tx_attempts);
     slots_used = !slots_used;
     collisions = !collisions;
@@ -953,8 +898,8 @@ let pct part whole =
   if whole = 0 then 0.0 else 100.0 *. float_of_int part /. float_of_int whole
 
 let engine_name = function
-  | Codegen.Runtime.Reference -> "reference"
-  | Codegen.Runtime.Compiled -> "compiled"
+  | Efsm.Exec.Reference -> "reference"
+  | Efsm.Exec.Compiled -> "compiled"
 
 let render r =
   let buf = Buffer.create 4096 in

@@ -2,13 +2,13 @@
 
     Generalises the single-terminal scenario to a contention network:
     per-terminal MAC EFSMs (fragmentation, binary-exponential-backoff
-    retry, graceful departure) execute under either EFSM engine; the
-    channel model corrupts overlapping transmissions (collision) and
-    applies the fault plan's channel injectors ([chan_loss],
-    [chan_burst], [term_crash]) per terminal.  Strict [(time, seq)]
-    scheduling plus per-terminal PRNG streams keep any [(plan, seed)]
-    configuration bit-identical across engines, repeated runs and
-    aggregation job counts. *)
+    retry, graceful departure) execute on {!Efsm.Exec} under either
+    engine; the channel model corrupts overlapping transmissions
+    (collision) and applies the fault plan's channel injectors
+    ([chan_loss], [chan_burst], [term_crash]) per terminal.  Strict
+    [(time, seq)] scheduling plus per-terminal PRNG streams keep any
+    [(plan, seed)] configuration bit-identical across engines and
+    repeated runs. *)
 
 type churn_action = Leave | Rejoin
 
@@ -26,10 +26,11 @@ type config = {
   churn : churn_event list;  (** scripted graceful departures *)
   faults : Fault.Plan.t;  (** channel injectors + terminal crashes *)
   fault_seed : int;
-  jobs : int;  (** domains for metric aggregation (result-invariant) *)
-  engine : Codegen.Runtime.engine_kind;
-      (** [Compiled] in production; [Reference] runs the MACs on
-          {!Efsm.Interp}, the oracle the engine-parity tests compare
+  jobs : int;
+      (** ignored: the per-terminal metrics are merged serially *)
+  engine : Efsm.Exec.engine;
+      (** [Compiled] in production; [Reference] runs the MACs on the
+          interpreter, the oracle the engine-parity tests compare
           against *)
 }
 
@@ -62,6 +63,9 @@ type terminal_stats = {
   ts_attempts : int;
   ts_collisions : int;
   ts_retries : int;
+  ts_unresolved : int;
+      (** its frames still queued or in flight at the horizon, counted
+          from the frame table *)
   ts_mac_tx_frames : int;
   ts_mac_rx_frames : int;
   ts_mac_rx_frags : int;
@@ -76,7 +80,9 @@ type result = {
   abandoned : int;  (** retry budget exhausted, dropped cleanly *)
   flushed : int;  (** discarded by departure (queue flush / offered
                       while departed) *)
-  unresolved : int;  (** still queued or in flight at the horizon *)
+  unresolved : int;
+      (** still queued or in flight at the horizon, counted frame by
+          frame (not as the residual of the other outcomes) *)
   attempts : int;
   slots_used : int;  (** slots with at least one transmission *)
   collisions : int;

@@ -462,7 +462,7 @@ let replay_both model (trace : Sim.Trace.t) =
     | Ok s -> s
     | Error e -> Alcotest.fail ("replay failed: " ^ e)
   in
-  (replay Mc.Net.Reference, replay Mc.Net.Compiled)
+  (replay Efsm.Exec.Reference, replay Efsm.Exec.Compiled)
 
 let test_pingpong_deadlock () =
   let model = pingpong_model ~bound:(Some 2) in

@@ -5,7 +5,7 @@
      hierarchical machines flattened with Efsm.Hsm) driven in lockstep
      through Efsm.Interp and Efsm.Compiled — states, variables, fired
      transitions, effects, timer requests and error messages must agree
-     on every step;
+     on every step — and through the Efsm.Exec seam under both engines;
    - network level: random process networks (self-sends, fan-out
      bindings, local and HIBI-routed signals) run under both
      Codegen.Runtime engines — the simulation traces must be
@@ -142,6 +142,75 @@ let gen_machine =
     return
       (Machine.make ~name:"gen" ~states ~initial:"s0" ~variables ~entry_actions
          ~exit_actions transitions))
+
+(* Well-typed machines whose transitions and entry/exit actions emit
+   several effects: the generators above produce ill-typed programs on
+   purpose, so most of their runs stop at the first error, before a step
+   has left more than one effect. *)
+let gen_typed_stmt =
+  QCheck.Gen.(
+    let x = Action.Var "x" in
+    oneof
+      [
+        map (fun n -> Action.Compute (Action.Int n)) (int_range 1 50);
+        map
+          (fun n ->
+            Action.Send { port = "out"; signal = "Sig"; args = [ x; Action.Int n ] })
+          (int_range 0 9);
+        map (fun n -> Action.Assign ("x", Action.Bin (Action.Add, x, Action.Int n)))
+          (int_range (-3) 3);
+        map
+          (fun n ->
+            Action.If
+              ( Action.Bin (Action.Gt, x, Action.Int n),
+                [ Action.Send { port = "dp"; signal = "Data"; args = [ x ] } ],
+                [ Action.Compute (Action.Int 3) ] ))
+          (int_range (-2) 2);
+      ])
+
+let gen_typed_machine =
+  QCheck.Gen.(
+    let states = [ "s0"; "s1"; "s2" ] in
+    let stmts = list_size (int_range 1 3) gen_typed_stmt in
+    let gen_transition =
+      let* src = oneofl states in
+      let* dst = oneofl states in
+      let* limit = int_range 0 4 in
+      let* actions = stmts in
+      let* kind = int_range 0 2 in
+      return
+        (match kind with
+        | 0 ->
+          (* a guarded count-up, so completion chains end *)
+          Machine.transition ~src ~dst
+            ~guard:(Action.Bin (Action.Lt, Action.Var "x", Action.Int limit))
+            ~actions:
+              (Action.Assign
+                 ("x", Action.Bin (Action.Add, Action.Var "x", Action.Int 1))
+              :: actions)
+            Machine.Completion
+        | 1 -> Machine.transition ~src ~dst ~actions (Machine.After (1 + limit))
+        | _ ->
+          Machine.transition ~src ~dst ~actions
+            (Machine.On_signal (List.nth [ "go"; "stop"; "tick" ] (limit mod 3))))
+    in
+    let* transitions = list_size (int_range 2 7) gen_transition in
+    let state_actions =
+      map List.concat
+        (flatten_l
+           (List.map
+              (fun st ->
+                let* on = bool in
+                let* block = stmts in
+                return (if on then [ (st, block) ] else []))
+              states))
+    in
+    let* entry_actions = state_actions in
+    let* exit_actions = state_actions in
+    return
+      (Machine.make ~name:"typed" ~states ~initial:"s0"
+         ~variables:[ ("x", Action.V_int 0) ]
+         ~entry_actions ~exit_actions transitions))
 
 (* Hierarchical machines: a fixed two-level shape (composite [c] with
    substates, one optionally nested composite) with random transitions
@@ -316,14 +385,116 @@ let lockstep machine ops =
   end;
   true
 
+(* The same ops through the executor seam, {!Efsm.Exec}, under both
+   engines, against the interpreter's step results: fired flag, the
+   [effect_at] walk, state, every variable, timer request and
+   [Type_error] text.  The seam starts a machine with one step (initial
+   entry, then completions), as the runtime does, and has no completion
+   step of its own: a fired step chains completions to quiescence, so
+   there the interpreter's [Op_completions] must fire nothing. *)
+type seam_outcome = S_step of bool * Action.effect list | S_error of string
+
+let seam_catching f = try f () with Action.Type_error m -> S_error m
+
+let seam_effects x = List.init (Exec.effect_count x) (Exec.effect_at x)
+
+let seam_step x fired = S_step (fired, if fired then seam_effects x else [])
+
+let oracle_step (st : Interp.step) = S_step (st.Interp.fired <> None, st.Interp.effects)
+
+let seam_op x op =
+  seam_catching (fun () ->
+      match op with
+      | Op_dispatch (signal, args) ->
+        seam_step x (Exec.dispatch_id x ~sid:(Exec.signal_id x signal) ~args)
+      | Op_timer valid ->
+        let entered = if valid then Exec.state x else "__stale__" in
+        seam_step x (Exec.fire_timer_id x ~entered_state:entered)
+      | Op_completions -> S_step (false, []))
+
+let oracle_op ri op =
+  seam_catching (fun () ->
+      match op with
+      | Op_dispatch (signal, args) -> oracle_step (Interp.dispatch ri ~signal ~args)
+      | Op_timer valid ->
+        let entered = if valid then Interp.state ri else "__stale__" in
+        oracle_step (Interp.fire_timer ri ~entered_state:entered)
+      | Op_completions -> S_step (false, Interp.run_completions ri))
+
+let pp_seam = function
+  | S_error m -> "error: " ^ m
+  | S_step (fired, effects) ->
+    Printf.sprintf "fired=%b effects=%d" fired (List.length effects)
+
+let seam_lockstep machine ops =
+  let prog = Compiled.compile machine in
+  let ri = Interp.create machine in
+  let seams =
+    [ ("reference", Exec.create Exec.Reference prog);
+      ("compiled", Exec.create Exec.Compiled prog) ]
+  in
+  let diverge what label expected got =
+    QCheck.Test.fail_reportf "seam (%s) diverges on %s:\n  oracle: %s\n  seam:   %s\n%s"
+      what label expected got (Notation.print_machine machine)
+  in
+  (* true iff every seam agrees with the oracle and no error stopped it *)
+  let agree label expected outcomes =
+    List.iter2
+      (fun (what, _) got ->
+        if got <> expected then
+          diverge what label (pp_seam expected) (pp_seam got))
+      seams outcomes;
+    match expected with S_error _ -> false | S_step _ -> true
+  in
+  let sync label =
+    List.iter
+      (fun (what, x) ->
+        if Exec.state x <> Interp.state ri then
+          diverge what (label ^ " (state)") (Interp.state ri) (Exec.state x);
+        for v = 0 to Compiled.n_vars prog - 1 do
+          let name = Compiled.var_name_of_id prog v in
+          if Exec.read_var x name <> Interp.read_var ri name then
+            diverge what (label ^ " (variable " ^ name ^ ")") "" ""
+        done;
+        if Exec.timer_request x <> Interp.timer_request ri then
+          diverge what (label ^ " (timer request)") "" "")
+      seams
+  in
+  let start =
+    seam_catching (fun () ->
+        let entry = Interp.initial_entry ri in
+        S_step (true, entry @ Interp.run_completions ri))
+  in
+  let started =
+    List.map
+      (fun (_, x) -> seam_catching (fun () -> Exec.start x; seam_step x true))
+      seams
+  in
+  if agree "start" start started then begin
+    sync "start";
+    let rec go = function
+      | [] -> ()
+      | op :: rest ->
+        let label = print_op op in
+        let expected = oracle_op ri op in
+        if agree label expected (List.map (fun (_, x) -> seam_op x op) seams)
+        then begin
+          sync label;
+          go rest
+        end
+    in
+    go ops
+  end;
+  true
+
 let prop_lockstep_flat =
-  QCheck.Test.make ~name:"lockstep: random flat machines" ~count:300
+  QCheck.Test.make ~name:"lockstep: random flat machines" ~count:600
     (QCheck.make
        ~print:(fun (m, ops) ->
          Notation.print_machine m ^ "\nops: "
          ^ String.concat "; " (List.map print_op ops))
-       QCheck.Gen.(pair gen_machine gen_ops))
-    (fun (machine, ops) -> lockstep machine ops)
+       QCheck.Gen.(pair (oneof [ gen_machine; gen_typed_machine ]) gen_ops))
+    (fun (machine, ops) -> lockstep machine ops && seam_lockstep machine ops)
 
 let prop_lockstep_hsm =
   QCheck.Test.make ~name:"lockstep: flattened hierarchical machines" ~count:200
@@ -336,7 +507,9 @@ let prop_lockstep_hsm =
          ^ String.concat "; " (List.map print_op ops))
        QCheck.Gen.(pair gen_hsm_machine gen_ops))
     (fun (machine, ops) ->
-      match machine with None -> true | Some m -> lockstep m ops)
+      match machine with
+      | None -> true
+      | Some m -> lockstep m ops && seam_lockstep m ops)
 
 (* -- network-level differential -------------------------------------- *)
 
@@ -519,8 +692,8 @@ let prop_network_differential =
       if Codegen.Ir.check sys <> [] then
         QCheck.Test.fail_reportf "generated system fails Ir.check: %s"
           (String.concat "; " (Codegen.Ir.check sys));
-      let lr, fr, er = run_network Codegen.Runtime.Reference sys ~until_ns:1_000_000L in
-      let lc, fc, ec = run_network Codegen.Runtime.Compiled sys ~until_ns:1_000_000L in
+      let lr, fr, er = run_network Efsm.Exec.Reference sys ~until_ns:1_000_000L in
+      let lc, fc, ec = run_network Efsm.Exec.Compiled sys ~until_ns:1_000_000L in
       (match first_diff lr lc with
       | Some (i, a, b) ->
         QCheck.Test.fail_reportf
@@ -554,8 +727,8 @@ let engine_config engine duration_ns =
 let test_scenario_differential () =
   let d = 50_000_000L in
   check_traces_equal "fault-free"
-    (scenario_trace (engine_config Codegen.Runtime.Reference d))
-    (scenario_trace (engine_config Codegen.Runtime.Compiled d))
+    (scenario_trace (engine_config Efsm.Exec.Reference d))
+    (scenario_trace (engine_config Efsm.Exec.Compiled d))
 
 let fault_plan =
   {
@@ -580,8 +753,8 @@ let test_scenario_differential_faults () =
     }
   in
   check_traces_equal "fault-injected"
-    (scenario_trace (config Codegen.Runtime.Reference))
-    (scenario_trace (config Codegen.Runtime.Compiled))
+    (scenario_trace (config Efsm.Exec.Reference))
+    (scenario_trace (config Efsm.Exec.Compiled))
 
 let test_scenario_differential_flows () =
   let run engine =
@@ -590,8 +763,8 @@ let test_scenario_differential_flows () =
     let t = scenario_trace ~obs ~flows (engine_config engine 50_000_000L) in
     (t, Obs.Flow.minted flows, Obs.Flow.completed flows)
   in
-  let tr, mr, cr = run Codegen.Runtime.Reference in
-  let tc, mc, cc = run Codegen.Runtime.Compiled in
+  let tr, mr, cr = run Efsm.Exec.Reference in
+  let tc, mc, cc = run Efsm.Exec.Compiled in
   check_traces_equal "flow-traced" tr tc;
   check int_t "same flows minted" mr mc;
   check int_t "same flows completed" cr cc;

@@ -1,6 +1,6 @@
 (* Tests for the fleet-scale TUTWLAN network: replay identity of
-   N-terminal collision schedules across EFSM engines and aggregation
-   job counts; churn edge cases (departure mid-fragment,
+   N-terminal collision schedules across EFSM engines; churn edge cases
+   (departure mid-fragment,
    rejoin under the same id); channel-injector determinism; accounting
    invariants; CLI churn-script parsing and config validation. *)
 
@@ -27,7 +27,7 @@ let plan () =
 
 let config ?(terminals = 6) ?(duration_ms = 200) ?(slot_ns = 50_000)
     ?(seed = 1) ?(faults = Fault.Plan.empty) ?(fault_seed = 1) ?(churn = [])
-    ?(jobs = 1) ?(engine = Codegen.Runtime.Compiled) () =
+    ?(engine = Efsm.Exec.Compiled) () =
   {
     Tutmac.Wlan.default with
     Tutmac.Wlan.terminals;
@@ -37,7 +37,6 @@ let config ?(terminals = 6) ?(duration_ms = 200) ?(slot_ns = 50_000)
     faults;
     fault_seed;
     churn;
-    jobs;
     engine;
   }
 
@@ -48,6 +47,8 @@ let fingerprint (r : Tutmac.Wlan.result) =
   Tutmac.Wlan.render r ^ "\n--\n"
   ^ String.concat "\n" (Sim.Trace.to_lines r.Tutmac.Wlan.trace)
 
+(* [unresolved] is counted from the frame table, independently of the
+   outcome counters, so a lost or doubled count breaks the identity. *)
 let accounting_holds (r : Tutmac.Wlan.result) =
   check int_t "offered = delivered + abandoned + flushed + unresolved"
     r.Tutmac.Wlan.offered
@@ -59,30 +60,25 @@ let accounting_holds (r : Tutmac.Wlan.result) =
         (Printf.sprintf "terminal %d accounting" t.Tutmac.Wlan.ts_id)
         t.Tutmac.Wlan.ts_offered
         (t.Tutmac.Wlan.ts_delivered + t.Tutmac.Wlan.ts_abandoned
-       + t.Tutmac.Wlan.ts_flushed
-        + (t.Tutmac.Wlan.ts_offered - t.Tutmac.Wlan.ts_delivered
-         - t.Tutmac.Wlan.ts_abandoned - t.Tutmac.Wlan.ts_flushed)))
-    r.Tutmac.Wlan.per_terminal
+       + t.Tutmac.Wlan.ts_flushed + t.Tutmac.Wlan.ts_unresolved))
+    r.Tutmac.Wlan.per_terminal;
+  check int_t "fleet unresolved is the per-terminal sum"
+    r.Tutmac.Wlan.unresolved
+    (Array.fold_left
+       (fun acc (t : Tutmac.Wlan.terminal_stats) ->
+         acc + t.Tutmac.Wlan.ts_unresolved)
+       0 r.Tutmac.Wlan.per_terminal)
 
 (* -- replay identity ---------------------------------------------------- *)
 
-(* One seed, every (engine x jobs) combination: the fingerprint never
+(* One seed, both engines and a repeated run: the fingerprint never
    changes.  This is the determinism contract in miniature; the 50-seed
    sweep below stresses it. *)
-let combos =
-  [
-    (Codegen.Runtime.Reference, 1);
-    (Codegen.Runtime.Compiled, 1);
-    (Codegen.Runtime.Reference, 2);
-    (Codegen.Runtime.Compiled, 2);
-  ]
-
 let fingerprints ~seed ~faults ~churn =
   List.map
-    (fun (engine, jobs) ->
-      fingerprint
-        (Tutmac.Wlan.run (config ~seed ~faults ~churn ~jobs ~engine ())))
-    combos
+    (fun engine ->
+      fingerprint (Tutmac.Wlan.run (config ~seed ~faults ~churn ~engine ())))
+    [ Efsm.Exec.Reference; Efsm.Exec.Compiled; Efsm.Exec.Compiled ]
 
 let test_replay_identity_one_seed () =
   let churn =
@@ -107,10 +103,9 @@ let test_replay_identity_one_seed () =
     check bool_t "the run is not degenerate" true
       (String.length reference > 1000)
 
-(* 50 seeds; for each, the compiled and reference engines must agree,
-   under different job counts.  Faults and churn stay on so collision resolution, the
-   injector draws and the departure bookkeeping are all inside the
-   comparison. *)
+(* 50 seeds; for each, the compiled and reference engines must agree.
+   Faults and churn stay on so collision resolution, the injector draws
+   and the departure bookkeeping are all inside the comparison. *)
 let test_replay_identity_50_seeds () =
   let faults = plan () in
   let churn =
@@ -127,14 +122,14 @@ let test_replay_identity_50_seeds () =
     let a =
       fingerprint
         (Tutmac.Wlan.run
-           (config ~duration_ms:80 ~seed ~faults ~churn ~jobs:1
-              ~engine:Codegen.Runtime.Compiled ()))
+           (config ~duration_ms:80 ~seed ~faults ~churn
+              ~engine:Efsm.Exec.Compiled ()))
     in
     let b =
       fingerprint
         (Tutmac.Wlan.run
-           (config ~duration_ms:80 ~seed ~faults ~churn ~jobs:2
-              ~engine:Codegen.Runtime.Reference ()))
+           (config ~duration_ms:80 ~seed ~faults ~churn
+              ~engine:Efsm.Exec.Reference ()))
     in
     if a <> b then Alcotest.failf "seed %d diverges across engines" seed
   done
@@ -204,29 +199,38 @@ let test_faultless_run_has_no_fault_stats () =
 
 (* -- churn -------------------------------------------------------------- *)
 
-(* Video terminals carry 4-fragment I-frames, so a departure in the
-   middle of the run is overwhelmingly a departure mid-frame; the
-   in-flight frame and the queue must flush cleanly, and every frame
-   still ends in exactly one terminal status. *)
-let video_only ?(churn = []) ?(duration_ms = 300) () =
+(* Video terminals carry 4-fragment I-frames; the in-flight frame and
+   the queue must flush cleanly on departure, and every frame still ends
+   in exactly one terminal status. *)
+let video_only ?(churn = []) ?(duration_ms = 300) ?slot_ns () =
   {
-    (config ~terminals:4 ~duration_ms ~churn ())
+    (config ~terminals:4 ~duration_ms ?slot_ns ~churn ())
     with Tutmac.Wlan.mix = [ Tutmac.Workload.video ];
   }
 
 let test_leave_mid_fragment () =
   let churn =
     [
-      { Tutmac.Wlan.terminal = 2; at_ns = 95_000_000; action = Tutmac.Wlan.Leave };
+      { Tutmac.Wlan.terminal = 2; at_ns = 60_000_000; action = Tutmac.Wlan.Leave };
     ]
   in
-  let r = Tutmac.Wlan.run (video_only ~churn ()) in
+  (* 2 ms slots stretch an I-frame over at least 8 ms, so terminal 2 is
+     still sending when it leaves. *)
+  let r = Tutmac.Wlan.run (video_only ~churn ~slot_ns:2_000_000 ()) in
   check int_t "one leave" 1 r.Tutmac.Wlan.leaves;
   check int_t "no joins" 0 r.Tutmac.Wlan.joins;
   let t2 = r.Tutmac.Wlan.per_terminal.(2) in
   check bool_t "terminal 2 stays departed" false t2.Tutmac.Wlan.ts_alive;
+  (* A frame offered after the departure is discarded by the departed
+     MAC (one D line) and flushed on arrival; the rest of [ts_flushed]
+     is what the departure itself flushed. *)
+  let flushed_on_arrival = ref 0 in
+  Sim.Trace.iter r.Tutmac.Wlan.trace (function
+    | Sim.Trace.Discard { process = "t002"; signal = "WlFrame"; _ } ->
+      incr flushed_on_arrival
+    | _ -> ());
   check bool_t "departure flushed in-flight work" true
-    (t2.Tutmac.Wlan.ts_flushed > 0);
+    (t2.Tutmac.Wlan.ts_flushed > !flushed_on_arrival);
   (* Anything it did deliver happened before the departure; afterwards
      arrivals are flushed, not queued, so nothing is left unresolved on
      a departed terminal. *)
@@ -338,8 +342,7 @@ let test_validation () =
       Tutmac.Wlan.churn =
         [ { Tutmac.Wlan.terminal = 99; at_ns = 1; action = Tutmac.Wlan.Leave } ];
     }
-    "churn";
-  expect_invalid { (config ()) with Tutmac.Wlan.jobs = 0 } "jobs"
+    "churn"
 
 (* -- report ------------------------------------------------------------- *)
 
@@ -372,7 +375,7 @@ let () =
     [
       ( "replay",
         [
-          Alcotest.test_case "engines x jobs, one seed" `Quick
+          Alcotest.test_case "engines, one seed" `Quick
             test_replay_identity_one_seed;
           Alcotest.test_case "50 seeds across engine corners" `Slow
             test_replay_identity_50_seeds;
